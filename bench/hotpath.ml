@@ -5,12 +5,14 @@
      dune exec bench/main.exe -- hotpath --quick --out BENCH_hotpath.json
      dune exec bench/main.exe -- hotpath --quick --check BENCH_hotpath.json
 
-   Four structure-level scenarios (waiting-list drain, discard cascade,
-   history store+purge, history range) are sized to expose super-linear
-   behaviour — a quadratic waiting-list scan is ~100x slower at W = 2048 —
-   plus a full simulated subrun at n in {8, 15, 40, 128} as the end-to-end
-   sanity point.  Every sample reports wall-clock and GC minor words per
-   logical operation, so allocation regressions surface alongside time.
+   Structure-level scenarios (waiting-list drain, frontier-dependency
+   drain at n = 40, discard cascade, history store+purge, history range)
+   are sized to expose super-linear behaviour — a quadratic waiting-list
+   scan is ~100x slower at W = 2048 — plus a full simulated subrun at n in
+   {8, 15, 40, 128, 256, 512} as the end-to-end sanity point.  Every sample
+   reports wall-clock and GC minor words per logical operation, so
+   allocation regressions surface alongside time; the stdout table also
+   shows all words allocated (aw/op, see [alloc_words]).
 
    `--check FILE` compares the fresh run against a committed baseline and
    fails (exit 1) if any operation regressed more than 5x: a loose bound
@@ -31,28 +33,41 @@ type sample = {
   reps : int;
   ns_per_op : float;
   minor_words_per_op : float;
+  alloc_words_per_op : float;  (* stdout only: the JSON schema predates it *)
 }
+
+(* Words allocated = minor + major - promoted.  [Gc.quick_stat]'s minor
+   count only advances at minor collections on OCaml 5, so small scenarios
+   read 0 or a whole minor heap, and blocks above 256 words skip the minor
+   heap altogether; [Gc.minor_words] is exact. *)
+let alloc_words () =
+  let minor = Gc.minor_words () in
+  let _, promoted, major = Gc.counters () in
+  minor +. major -. promoted
 
 let measure ~quick ~name ~ops f =
   f ();
   (* Warm-up above also sanity-checks the scenario (each [f] asserts its own
-     cascade/purge counts).  Repetitions target ~0.25 s per benchmark. *)
+     cascade/purge counts).  Repetitions target ~0.25 s per benchmark, and
+     never fall below 3 so that the slowest rows are not single samples. *)
   let reps =
     if quick then 2
     else begin
       let t0 = Unix.gettimeofday () in
       f ();
       let dt = Unix.gettimeofday () -. t0 in
-      if dt <= 1e-9 then 100 else max 1 (min 100 (int_of_float (0.25 /. dt)))
+      if dt <= 1e-9 then 100 else max 3 (min 100 (int_of_float (0.25 /. dt)))
     end
   in
   Gc.full_major ();
   let s0 = Gc.quick_stat () in
+  let a0 = alloc_words () in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to reps do
     f ()
   done;
   let t1 = Unix.gettimeofday () in
+  let a1 = alloc_words () in
   let s1 = Gc.quick_stat () in
   let total = float_of_int (reps * ops) in
   {
@@ -61,9 +76,22 @@ let measure ~quick ~name ~ops f =
     reps;
     ns_per_op = (t1 -. t0) *. 1e9 /. total;
     minor_words_per_op = (s1.Gc.minor_words -. s0.Gc.minor_words) /. total;
+    alloc_words_per_op = (a1 -. a0) /. total;
   }
 
 (* -- scenarios ---------------------------------------------------------- *)
+
+(* Take and process every message that becomes processable; returns how
+   many were taken. *)
+let drain wl d =
+  let rec go taken =
+    match Causal.Waiting_list.take_processable wl d with
+    | Some m ->
+        Causal.Delivery.mark d m.Causal.Causal_msg.mid;
+        go (taken + 1)
+    | None -> taken
+  in
+  go 0
 
 (* Origin 0 holds [w] permanently blocked messages (their seq-1 predecessor
    never arrives) sitting *before* origin 1 in mid order; origin 1's chain
@@ -79,17 +107,40 @@ let waiting_drain ~w () =
   done;
   let d = Causal.Delivery.create ~n:2 in
   Causal.Delivery.mark d (Causal.Mid.make ~origin:(node 1) ~seq:1);
-  let drained = ref 0 in
-  let rec drain () =
-    match Causal.Waiting_list.take_processable wl d with
-    | Some m ->
-        Causal.Delivery.mark d m.Causal.Causal_msg.mid;
-        incr drained;
-        drain ()
-    | None -> ()
+  if drain wl d <> w then failwith "hotpath: waiting_drain cascade broke"
+
+(* n = 40 with a sender's frontier as dependencies: round [r] of origin [o]
+   depends on round [r-1] of every other origin and on origin 0's first
+   message, which is missing.  All [rounds * 39] messages wait behind it,
+   each with ~39 deps, and drain in cascade once it is processed.  A list
+   that registers every dependency of every message, or wakes an entry
+   for each of them, pays O(n) per message here on top of the O(n) sync. *)
+let waiting_frontier ~rounds =
+  let n = 40 in
+  let missing = Causal.Mid.make ~origin:(node 0) ~seq:1 in
+  let msgs =
+    List.init rounds (fun r ->
+        List.init (n - 1) (fun i ->
+            let o = i + 1 in
+            let deps =
+              if r = 0 then []
+              else
+                List.filter_map
+                  (fun p ->
+                    if p = 0 || p = o then None
+                    else Some (Causal.Mid.make ~origin:(node p) ~seq:r))
+                  (List.init n Fun.id)
+            in
+            msg ~origin:o ~seq:(r + 1) ~deps:(missing :: deps) ()))
+    |> List.concat
   in
-  drain ();
-  if !drained <> w then failwith "hotpath: waiting_drain cascade broke"
+  fun () ->
+    let wl = Causal.Waiting_list.create ~n in
+    List.iter (Causal.Waiting_list.add wl) msgs;
+    let d = Causal.Delivery.create ~n in
+    Causal.Delivery.mark d missing;
+    if drain wl d <> rounds * (n - 1) then
+      failwith "hotpath: waiting_frontier cascade broke"
 
 (* A w-deep explicit dependency chain across 8 origins: discarding the chain
    root must transitively discard every waiting message. *)
@@ -135,18 +186,22 @@ let history_range ~w =
         failwith "hotpath: history range count broke"
     done
 
-let oldest_vector ~w =
+(* [calls] reads per sample: one read takes about 0.1 us, below the
+   clock's 1 us resolution. *)
+let oldest_vector ~w ~calls =
   let n = 8 in
   let wl = Causal.Waiting_list.create ~n in
   for i = 0 to w - 1 do
     Causal.Waiting_list.add wl (msg ~origin:(i mod n) ~seq:((i / n) + 2) ())
   done;
   fun () ->
-    let v = Causal.Waiting_list.oldest_vector wl in
-    for o = 0 to n - 1 do
-      match v.(o) with
-      | Some mid when Causal.Mid.seq mid = 2 -> ()
-      | Some _ | None -> failwith "hotpath: oldest_vector broke"
+    for _ = 1 to calls do
+      let v = Causal.Waiting_list.oldest_vector wl in
+      for o = 0 to n - 1 do
+        match v.(o) with
+        | Some mid when Causal.Mid.seq mid = 2 -> ()
+        | Some _ | None -> failwith "hotpath: oldest_vector broke"
+      done
     done
 
 let subrun ~n () =
@@ -166,6 +221,7 @@ let run_all ~quick =
     m ~name:"waiting_drain_w128" ~ops:128 (waiting_drain ~w:128);
     m ~name:"waiting_drain_w512" ~ops:512 (waiting_drain ~w:512);
     m ~name:"waiting_drain_w2048" ~ops:2048 (waiting_drain ~w:2048);
+    m ~name:"waiting_frontier_n40" ~ops:(32 * 39) (waiting_frontier ~rounds:32);
     m ~name:"discard_cascade_w128" ~ops:128 (discard_cascade ~w:128);
     m ~name:"discard_cascade_w512" ~ops:512 (discard_cascade ~w:512);
     m ~name:"discard_cascade_w2048" ~ops:2048 (discard_cascade ~w:2048);
@@ -173,7 +229,7 @@ let run_all ~quick =
     m ~name:"history_store_purge_w2048" ~ops:(8 * 2048)
       (history_store_purge ~w:2048);
     m ~name:"history_range_w2048" ~ops:(8 * 1025) (history_range ~w:2048);
-    m ~name:"oldest_vector_w512" ~ops:1 (oldest_vector ~w:512);
+    m ~name:"oldest_vector_w512" ~ops:64 (oldest_vector ~w:512 ~calls:64);
     m ~name:"subrun_n8" ~ops:8 (subrun ~n:8);
     m ~name:"subrun_n15" ~ops:15 (subrun ~n:15);
     m ~name:"subrun_n40" ~ops:40 (subrun ~n:40);
@@ -308,12 +364,12 @@ let run ?(quick = false) ?out ?check ?profile () =
      path the check compares against. *)
   let baseline = Option.map (fun path -> (path, baseline_ns path)) check in
   let samples = run_all ~quick in
-  Format.printf "  %-28s %6s %6s %14s %10s@." "benchmark" "ops" "reps"
-    "ns/op" "mw/op";
+  Format.printf "  %-28s %6s %6s %14s %10s %10s@." "benchmark" "ops" "reps"
+    "ns/op" "mw/op" "aw/op";
   List.iter
     (fun s ->
-      Format.printf "  %-28s %6d %6d %14.1f %10.2f@." s.name s.ops s.reps
-        s.ns_per_op s.minor_words_per_op)
+      Format.printf "  %-28s %6d %6d %14.1f %10.2f %10.2f@." s.name s.ops
+        s.reps s.ns_per_op s.minor_words_per_op s.alloc_words_per_op)
     samples;
   (match out with
   | None -> ()

@@ -1,44 +1,53 @@
-(* Dependency-indexed waiting list.
+(* One-blocker waiting list.
 
-   The pre-PR structure was a single [Mid.Map] rescanned to fixpoint:
-   [take_processable] was O(W) per pop and [discard_from] an O(W^2)
-   set-membership fixpoint.  This version stores messages in per-origin
-   dense rings and indexes them by what blocks them, so the hot paths touch
-   only the messages they affect:
+   Messages live in per-origin dense rings keyed by seq (window [base,
+   base+span), holes allowed), the layout of [History], compressed at the
+   front so the per-origin oldest mid ([waiting_i]) reads off the base.
 
-   - Per origin, waiting messages live in a circular buffer keyed by
-     contiguous seq (window [base, base+span), holes allowed), the same
-     layout as [History]: membership, insert and removal are O(1), and the
-     window is compressed at the front so the per-origin oldest mid — the
-     [waiting_i] field of every Request — reads off the window base.
-   - Each waiting entry records its unresolved blockers ([pending]): the
-     chain predecessor [(origin, seq-1)] if unprocessed, plus each
-     unprocessed explicit dependency.  A reverse index ([dependents]) maps a
-     blocking mid to the entries it gates.
-   - [seen] caches the last [Delivery] vector this list has observed.  On
-     [take_processable] the list syncs against the live vector: every newly
-     processed mid resolves its dependents in O(1) each, and entries whose
-     pending set empties join [ready].
-   - [ready] is exactly the set of processable entries.  An entry is ready
-     iff its seq is [seen(origin)+1] and its deps are processed, so [ready]
-     holds at most one mid per origin (<= n elements); popping its minimum
-     reproduces the old scan's first-processable-in-mid-order choice
-     bit-for-bit, at O(log n) worst case.
-   - [discard_from] walks the dependency graph forward from the roots:
-     per-origin tail sweeps cover the implicit chain and [dep_index]
-     (explicit dep -> dependers, kept regardless of processed state) covers
-     listed dependencies.  O(victims + edges) instead of a fixpoint.
+   Readiness is indexed by one blocker per entry, and every entry is filed
+   in exactly one place:
 
-   Entries whose chain position the group skipped past (decided orphan
-   destruction) are never processable; they simply never enter [ready], but
-   remain visible to [oldest]/[length]/[to_list] exactly like before.
-   Index entries for removed messages are reclaimed lazily: every traversal
-   re-checks liveness against the rings.
+   - [fresh]: added since the last [take_processable], which classifies it
+     right after its sync, against the vector it just read ([add] has no
+     delivery vector).
+   - parked: under its first unprocessed predecessor, the chain predecessor
+     [(origin, seq-1)] first and then [deps] in array order.  [cursor]
+     records how far along that sequence the entry got; [index] maps the
+     blocker's exact [(origin, seq)], encoded as one int, to the entries
+     parked on it.  The sync wakes exactly those entries when it sees that
+     mid processed, and they resume from their cursor.
+   - ready: chain position [seen(origin)+1] and every dep processed.  At
+     most one seq per origin qualifies, so popping the lowest ready origin
+     yields the first processable message in mid order, as the reference
+     whole-list scan does.
+   - stuck: the group skipped past its chain position (orphan destruction).
+     Never processable, filed nowhere, still seen by [oldest]/[to_list].
 
-   Mids handed to [add] must have all origins (message and deps) in [0, n);
-   the rest of the stack guarantees this. *)
+   A taken, removed or discarded entry leaves no reference in any index, so
+   the footprint follows what the list holds, not what it ever held.
 
-type 'a entry = { msg : 'a Causal_msg.t; mutable pending : Mid.t list }
+   Costs: [add], [mem] and [oldest] are O(1); [remove] is O(1) plus the
+   length of the list the entry is filed in.  [take_processable] on a
+   non-empty list is O(n) for the sync and the pop, plus O(1) per seq the
+   vector advanced while anything is parked, plus cursor steps: a cursor
+   only moves forward, so classification costs O(1 + |deps|) over an
+   entry's whole stay.  [discard_from] is O(n + tail swept), plus, once
+   the root sweep finds a victim, O(W + their deps) to build the reverse
+   index of explicit deps from the live entries and walk the victims.
+   All origins (of messages and deps) must lie in [0, n). *)
+
+module Itbl = Hashtbl.Make (struct
+  type t = int let equal = Int.equal let hash = Fun.id end)
+
+type 'a entry = {
+  msg : 'a Causal_msg.t;
+  mutable cursor : int;  (* -1: chain predecessor; i: [deps.(i)]; or [gone] *)
+  mutable key : int;  (* blocker key while parked, else [in_fresh]/[unfiled] *)
+}
+
+let gone = min_int
+let in_fresh = -1
+let unfiled = 0 (* blocker keys are [seq * n + origin] >= n > 0 *)
 
 type 'a ring = {
   mutable buf : 'a entry option array;
@@ -52,40 +61,20 @@ type 'a t = {
   n : int;
   mutable size : int;
   mutable rings : 'a ring option array;
-      (* [||] until the first add, then lazily created per origin: an origin
-         that never blocks costs one word.  Most lists never see a blocked
-         message at all, so the per-origin arrays only exist once one does —
-         a member allocates one waiting list per group member it simulates,
-         and the empty-list footprint is what every fault-free run pays. *)
-  mutable ready : Mid.Set.t;
-  mutable seen : int array;  (* [||] until the first add *)
+      (* [||] until the first add, rings created on demand: most lists never
+         hold a message, and every fault-free run pays their footprint. *)
+  mutable seen : int array;  (* the vector at the last sync *)
+  mutable woken : int array;  (* per origin: blockers up to this seq woken *)
+  mutable ready : int array;  (* per origin: the ready seq, 0 if none *)
+  mutable fresh : 'a entry list;
+  index : 'a entry list Itbl.t;
   mutable empty_vec : Mid.t option array;  (* shared all-[None] vector *)
-  dependents : (Mid.t, Mid.t list ref) Hashtbl.t;
-  dep_index : (Mid.t, Mid.t list ref) Hashtbl.t;
 }
 
 let create ~n =
   if n <= 0 then invalid_arg "Waiting_list.create: n must be positive";
-  {
-    n;
-    size = 0;
-    rings = [||];
-    ready = Mid.Set.empty;
-    seen = [||];
-    empty_vec = [||];
-    (* Small initial tables: kept eager (they are a handful of words). *)
-    dependents = Hashtbl.create 8;
-    dep_index = Hashtbl.create 8;
-  }
-
-(* Allocate the per-origin state on the first add.  [seen] starting at all
-   zeros is exactly the eager behaviour: it only ever catches up inside
-   [take_processable], which never runs while the list is empty. *)
-let ensure t =
-  if Array.length t.seen = 0 then begin
-    t.rings <- Array.make t.n None;
-    t.seen <- Array.make t.n 0
-  end
+  { n; size = 0; rings = [||]; seen = [||]; woken = [||]; ready = [||];
+    fresh = []; index = Itbl.create 8; empty_vec = [||] }
 
 (* -- per-origin rings ---------------------------------------------------- *)
 
@@ -109,6 +98,12 @@ let find_entry t mid =
     match t.rings.(Net.Node_id.to_int (Mid.origin mid)) with
     | None -> None
     | Some r -> slot r (Mid.seq mid)
+
+(* Apply [f] to the live entries of [r] with seq in [lo, hi], ascending. *)
+let iter_live r lo hi f =
+  for s = max lo r.base to min hi (r.base + r.span - 1) do
+    Option.iter f r.buf.(phys r (s - r.base))
+  done
 
 let rec next_pow2 n k = if k >= n then k else next_pow2 n (k * 2)
 
@@ -171,51 +166,91 @@ let ring_remove r seq =
     r.span <- r.span - !i
   end
 
-(* -- public structure ---------------------------------------------------- *)
+(* -- filing -------------------------------------------------------------- *)
 
-let register index key mid =
-  match Hashtbl.find_opt index key with
-  | Some l -> l := mid :: !l
-  | None -> Hashtbl.add index key (ref [ mid ])
+let key t o s = (s * t.n) + o
+let key_of t mid = key t (Net.Node_id.to_int (Mid.origin mid)) (Mid.seq mid)
+
+let park t e k =
+  e.key <- k;
+  match Itbl.find t.index k with
+  | l -> Itbl.replace t.index k (e :: l)
+  | exception Not_found -> Itbl.add t.index k [ e ]
+
+(* The first dep from index [i] on that [seen] has not processed. *)
+let rec first_unprocessed seen deps i =
+  if i < Array.length deps
+     && Mid.seq deps.(i) <= seen.(Net.Node_id.to_int (Mid.origin deps.(i)))
+  then first_unprocessed seen deps (i + 1)
+  else i
+
+(* File [e] under its first unprocessed predecessor from the cursor on, or
+   as ready when there is none.  Runs only against a freshly synced [seen]. *)
+let classify t e =
+  let mid = e.msg.Causal_msg.mid and deps = e.msg.Causal_msg.deps in
+  let o = Net.Node_id.to_int (Mid.origin mid) and s = Mid.seq mid in
+  if s <= t.seen.(o) then () (* stuck *)
+  else if e.cursor < 0 && s - 1 > t.seen.(o) then park t e (key t o (s - 1))
+  else begin
+    e.cursor <- first_unprocessed t.seen deps (max e.cursor 0);
+    if e.cursor < Array.length deps then park t e (key_of t deps.(e.cursor))
+    else t.ready.(o) <- s (* = seen(o) + 1 *)
+  end
+
+(* Top-level recursion: waking allocates no closure. *)
+let rec classify_all t = function
+  | [] -> ()
+  | e :: rest ->
+      e.key <- unfiled;
+      classify t e;
+      classify_all t rest
+
+(* Take [e] and every other [gone] entry out of the list [e] is filed in:
+   one pass however many victims of a discard share that list. *)
+let unfile t e =
+  let k = e.key in
+  let keep x = x.cursor <> gone || (x.key <- unfiled; false) in
+  if k = in_fresh then t.fresh <- List.filter keep t.fresh
+  else if k <> unfiled then
+    match List.filter keep (Itbl.find t.index k) with
+    | [] -> Itbl.remove t.index k
+    | l -> Itbl.replace t.index k l
+
+(* Drop an entry that is ready, stuck or marked [gone] from every place. *)
+let drop t e =
+  let mid = e.msg.Causal_msg.mid in
+  let o = Net.Node_id.to_int (Mid.origin mid) in
+  unfile t e;
+  ring_remove (ring_of t o) (Mid.seq mid);
+  t.size <- t.size - 1;
+  if t.ready.(o) = Mid.seq mid then t.ready.(o) <- 0
+
+(* -- public structure ---------------------------------------------------- *)
 
 let add t msg =
   let mid = msg.Causal_msg.mid in
-  match find_entry t mid with
-  | Some _ -> () (* idempotent *)
-  | None ->
-      ensure t;
-      let o = Net.Node_id.to_int (Mid.origin mid) in
-      let s = Mid.seq mid in
-      let pending = ref [] in
-      if s - 1 > t.seen.(o) then
-        pending := Mid.make ~origin:(Mid.origin mid) ~seq:(s - 1) :: !pending;
-      Array.iter
-        (fun dep ->
-          if Mid.seq dep > t.seen.(Net.Node_id.to_int (Mid.origin dep)) then
-            pending := dep :: !pending)
-        msg.Causal_msg.deps;
-      let entry = { msg; pending = !pending } in
-      ring_put (ring_of t o) s entry;
-      t.size <- t.size + 1;
-      List.iter (fun b -> register t.dependents b mid) entry.pending;
-      Array.iter (fun dep -> register t.dep_index dep mid) msg.Causal_msg.deps;
-      (* Ready iff nothing blocks it and its chain position is still ahead
-         of what this list has seen processed. *)
-      if entry.pending = [] && s > t.seen.(o) then
-        t.ready <- Mid.Set.add mid t.ready
-
-let mem t mid = Option.is_some (find_entry t mid)
+  if Option.is_none (find_entry t mid) then begin
+    if Array.length t.seen = 0 then begin
+      (* The first add allocates the per-origin state.  [seen] may start at
+         zeros: [take_processable] syncs it before classifying anything. *)
+      t.rings <- Array.make t.n None;
+      t.seen <- Array.make t.n 0;
+      t.woken <- Array.make t.n 0;
+      t.ready <- Array.make t.n 0
+    end;
+    let e = { msg; cursor = -1; key = in_fresh } in
+    ring_put (ring_of t (Net.Node_id.to_int (Mid.origin mid))) (Mid.seq mid) e;
+    t.size <- t.size + 1;
+    t.fresh <- e :: t.fresh
+  end
 
 let remove t mid =
   match find_entry t mid with
+  | Some e -> e.cursor <- gone; drop t e
   | None -> ()
-  | Some _ ->
-      ring_remove (ring_of t (Net.Node_id.to_int (Mid.origin mid))) (Mid.seq mid);
-      t.size <- t.size - 1;
-      t.ready <- Mid.Set.remove mid t.ready
 
+let mem t mid = Option.is_some (find_entry t mid)
 let length t = t.size
-
 let is_empty t = t.size = 0
 
 let oldest t ~origin =
@@ -223,13 +258,11 @@ let oldest t ~origin =
   if o >= t.n || Array.length t.rings = 0 then None
   else
     match t.rings.(o) with
-    | None -> None
-    | Some r -> (
-        if r.count = 0 then None
-        else
-          match r.buf.(r.head) with
-          | Some entry -> Some entry.msg.Causal_msg.mid
-          | None -> assert false (* front compression: base slot occupied *))
+    | Some { count; buf; head; _ } when count > 0 -> (
+        match buf.(head) with
+        | Some e -> Some e.msg.Causal_msg.mid
+        | None -> assert false (* front compression: base slot occupied *))
+    | Some _ | None -> None
 
 let oldest_vector t =
   if t.size = 0 then begin
@@ -243,68 +276,54 @@ let oldest_vector t =
 
 (* -- readiness sync ------------------------------------------------------ *)
 
-(* A newly processed mid no longer blocks anything: wake its dependents. *)
-let resolve t blocker =
-  match Hashtbl.find_opt t.dependents blocker with
-  | None -> ()
-  | Some dependers ->
-      Hashtbl.remove t.dependents blocker;
-      List.iter
-        (fun mid ->
-          match find_entry t mid with
-          | None -> () (* removed since registration *)
-          | Some entry ->
-              if List.exists (Mid.equal blocker) entry.pending then begin
-                entry.pending <-
-                  List.filter
-                    (fun b -> not (Mid.equal b blocker))
-                    entry.pending;
-                if entry.pending = [] then begin
-                  let eo = Net.Node_id.to_int (Mid.origin mid) in
-                  (* Unblocked, but only processable if the group did not
-                     skip past its chain position meanwhile. *)
-                  if Mid.seq mid > t.seen.(eo) then
-                    t.ready <- Mid.Set.add mid t.ready
-                end
-              end)
-        !dependers
-
-(* Catch [seen] up with the live delivery vector.  Cost: O(n) plus O(1) per
-   newly processed mid — amortized constant per delivered message. *)
+(* Catch [seen] up with the live vector, then wake the entries parked on
+   every newly processed mid.  Waking waits for the whole vector, so no
+   entry is classified against a stale origin. *)
 let sync t delivery =
   for o = 0 to t.n - 1 do
-    let origin = Net.Node_id.of_int o in
-    let last = Delivery.last_processed delivery origin in
-    let prev = t.seen.(o) in
-    if last > prev then begin
-      (* The one entry of this origin that could sit in [ready] has seq
-         [prev+1]; the group has now processed or skipped it elsewhere. *)
-      let cand = Mid.make ~origin ~seq:(prev + 1) in
-      t.ready <- Mid.Set.remove cand t.ready;
-      t.seen.(o) <- last;
-      for s = prev + 1 to last do
-        resolve t (Mid.make ~origin ~seq:s)
-      done
+    let last = Delivery.last_processed delivery (Net.Node_id.of_int o) in
+    if last > t.seen.(o) then begin
+      (* Its ready entry, seq [seen+1], was processed or skipped elsewhere. *)
+      t.ready.(o) <- 0;
+      t.seen.(o) <- last
     end
+  done;
+  for o = 0 to t.n - 1 do
+    let s = ref t.woken.(o) in
+    while !s < t.seen.(o) && Itbl.length t.index > 0 do
+      incr s;
+      let k = key t o !s in
+      match Itbl.find t.index k with
+      | l ->
+          Itbl.remove t.index k;
+          classify_all t l
+      | exception Not_found -> ()
+    done;
+    t.woken.(o) <- t.seen.(o)
   done
+
+let rec lowest_ready ready o =
+  if o >= Array.length ready then -1
+  else if ready.(o) > 0 then o
+  else lowest_ready ready (o + 1)
 
 let take_processable t delivery =
   (* Empty-list fast path: the fault-free hot loop calls this once per
      processed message, and an O(n) sync there would make every delivery
-     O(n) again.  Skipping the sync just lets [seen] lag, which is safe:
-     blockers computed against a stale vector are conservative and resolve
-     on the next non-empty sync. *)
+     O(n) again.  [seen] may lag meanwhile: nothing is filed while the list
+     is empty, and what is added next is classified after the next sync. *)
   if t.size = 0 then None
   else begin
     sync t delivery;
-    match Mid.Set.min_elt_opt t.ready with
-  | None -> None
-  | Some mid -> (
-      match find_entry t mid with
-      | None -> assert false (* ready entries are always live *)
-      | Some entry ->
-          remove t mid;
-          Some entry.msg)
+    let fresh = t.fresh in
+    t.fresh <- [];
+    classify_all t fresh;
+    match lowest_ready t.ready 0 with
+    | -1 -> None
+    | o -> (
+        match slot (ring_of t o) t.ready.(o) with
+        | Some e -> drop t e; Some e.msg
+        | None -> assert false (* ready entries are always live *))
   end
 
 (* -- discard cascade ----------------------------------------------------- *)
@@ -312,79 +331,60 @@ let take_processable t delivery =
 let discard_from t ~origin ~seq =
   if t.size = 0 then []
   else begin
-  let victims = Hashtbl.create 16 in
-  let queue = Queue.create () in
-  (* Lowest seq from which each origin's waiting tail has been swept: sweeps
-     of overlapping tails (one per same-origin victim) stay linear. *)
-  let swept_from = Array.make t.n max_int in
-  let add_victim mid =
-    if mem t mid && not (Hashtbl.mem victims mid) then begin
-      Hashtbl.add victims mid ();
-      Queue.push mid queue
-    end
-  in
-  (* Every waiting message of [o] with seq >= [from] depends on a victim
-     through the implicit per-origin chain. *)
-  let sweep_tail o from =
-    if from < swept_from.(o) then begin
-      let upto = swept_from.(o) in
-      swept_from.(o) <- from;
-      match t.rings.(o) with
-      | None -> ()
-      | Some r ->
-          if r.span > 0 then begin
-            let lo = max from r.base in
-            let hi = min (upto - 1) (r.base + r.span - 1) in
-            for s = lo to hi do
-              match r.buf.(phys r (s - r.base)) with
-              | Some entry -> add_victim entry.msg.Causal_msg.mid
-              | None -> ()
-            done
-          end
-    end
-  in
-  sweep_tail (Net.Node_id.to_int origin) seq;
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    sweep_tail (Net.Node_id.to_int (Mid.origin v)) (Mid.seq v + 1);
-    match Hashtbl.find_opt t.dep_index v with
-    | None -> ()
-    | Some dependers ->
-        (* Everything depending on a discarded message is itself discarded,
-           so this key can never gate a survivor: drop it outright.  Index
-           entries can be stale (a mid removed and later re-added under a
-           different dependency set leaves its old registrations behind), so
-           only a live entry that still lists [v] is a victim. *)
-        Hashtbl.remove t.dep_index v;
-        List.iter
-          (fun d ->
-            match find_entry t d with
-            | Some entry
-              when Array.exists (Mid.equal v) entry.msg.Causal_msg.deps ->
-                add_victim d
-            | Some _ | None -> ())
-          !dependers
-  done;
-  let discarded =
-    Hashtbl.fold (fun mid () acc -> mid :: acc) victims []
-    |> List.sort Mid.compare
-  in
-  List.iter (remove t) discarded;
-  discarded
+    let victims = ref [] and unvisited = ref [] in
+    let doom e =
+      if e.cursor <> gone then begin
+        e.cursor <- gone;
+        victims := e :: !victims;
+        unvisited := e :: !unvisited
+      end
+    in
+    (* Every waiting message of [o] from [from] on depends on a victim
+       through the implicit chain.  [swept_from] keeps the sweeps of
+       overlapping tails (one per same-origin victim) linear. *)
+    let swept_from = Array.make t.n max_int in
+    let sweep_tail o from =
+      if from < swept_from.(o) then begin
+        Option.iter
+          (fun r -> iter_live r from (swept_from.(o) - 1) doom) t.rings.(o);
+        swept_from.(o) <- from
+      end
+    in
+    (* Explicit dep -> the live entries listing it, built only once the
+       root sweep found a victim, and only for deps that are themselves
+       waiting: nothing else can become a victim. *)
+    let rdeps =
+      lazy
+        (let rdeps = Itbl.create 64 in
+         let register e =
+           Array.iter
+             (fun d -> if mem t d then Itbl.add rdeps (key_of t d) e)
+             e.msg.Causal_msg.deps
+         in
+         Array.iter
+           (Option.iter (fun r -> iter_live r 1 max_int register)) t.rings;
+         rdeps)
+    in
+    let rec visit () =
+      match !unvisited with
+      | [] -> ()
+      | v :: rest ->
+          unvisited := rest;
+          let vm = v.msg.Causal_msg.mid in
+          sweep_tail (Net.Node_id.to_int (Mid.origin vm)) (Mid.seq vm + 1);
+          List.iter doom (Itbl.find_all (Lazy.force rdeps) (key_of t vm));
+          visit ()
+    in
+    sweep_tail (Net.Node_id.to_int origin) seq;
+    visit ();
+    !victims
+    |> List.sort (fun a b ->
+           Mid.compare a.msg.Causal_msg.mid b.msg.Causal_msg.mid)
+    |> List.map (fun e -> drop t e; e.msg.Causal_msg.mid)
   end
 
 let to_list t =
-  if Array.length t.rings = 0 then []
-  else
-  List.concat
-    (List.init t.n (fun o ->
-         match t.rings.(o) with
-         | None -> []
-         | Some r ->
-             let acc = ref [] in
-             for i = r.span - 1 downto 0 do
-               match r.buf.(phys r i) with
-               | Some entry -> acc := entry.msg :: !acc
-               | None -> ()
-             done;
-             !acc))
+  let acc = ref [] in
+  let push e = acc := e.msg :: !acc in
+  Array.iter (Option.iter (fun r -> iter_live r 1 max_int push)) t.rings;
+  List.rev !acc

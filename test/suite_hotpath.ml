@@ -140,36 +140,70 @@ let oldest_tests =
 let equivalence_runs = 120
 let equivalence_ops = 60
 
-let run_equivalence seed =
-  let n = 4 in
+(* [dense] gives every message one dependency on each other origin, the
+   shape of a sender's frontier; otherwise each other origin is a
+   dependency with probability 1/4. *)
+let run_equivalence ?(n = 4) ?(dense = false) seed =
   let max_seq = 12 in
-  let rng = Random.State.make [| 0x5eed; seed |] in
+  let rng = Random.State.make [| 0x5eed; seed; n |] in
   let reference = Waiting_list_reference.create ~n in
   let wl = Causal.Waiting_list.create ~n in
   let delivery = Causal.Delivery.create ~n in
   (* Alcotest prints this message on failure, so the failing seed is always
-     recoverable: rerun [run_equivalence seed] alone to shrink by hand. *)
+     recoverable: rerun [run_equivalence ~n ~dense seed] alone to shrink by
+     hand. *)
   let fail fmt =
     Format.kasprintf
       (fun detail ->
-        Alcotest.failf "equivalence mismatch (failing seed %d): %s" seed
-          detail)
+        Alcotest.failf
+          "equivalence mismatch (n = %d%s, failing seed %d): %s" n
+          (if dense then ", dense deps" else "")
+          seed detail)
       fmt
   in
   let rand_origin () = Random.State.int rng n in
   let rand_seq () = 1 + Random.State.int rng max_seq in
+  (* Half the seqs land just past what is processed, so that several
+     origins often hold a processable message at once. *)
+  let near_seq o =
+    if Random.State.bool rng then rand_seq ()
+    else
+      Causal.Delivery.last_processed delivery (node o)
+      + 1
+      + Random.State.int rng 2
+  in
+  let rand_deps o =
+    List.filter_map
+      (fun o' ->
+        if o' = o || ((not dense) && Random.State.int rng 4 > 0) then None
+        else Some (mid o' (max 1 (near_seq o' - 1))))
+      (List.init n Fun.id)
+  in
   let rand_msg () =
-    let o = rand_origin () and s = rand_seq () in
-    let deps =
-      List.filter_map
-        (fun o' ->
-          if o' = o || Random.State.int rng 4 > 0 then None
-          else Some (mid o' (rand_seq ())))
-        (List.init n Fun.id)
-    in
-    msg ~deps o s
+    let o = rand_origin () in
+    msg ~deps:(rand_deps o) o (near_seq o)
   in
   let mids_of l = List.map (fun m -> m.Causal.Causal_msg.mid) l in
+  let pp_mids = Format.pp_print_list Causal.Mid.pp in
+  let add m =
+    Waiting_list_reference.add reference m;
+    Causal.Waiting_list.add wl m
+  in
+  let remove victim =
+    let ma = Waiting_list_reference.mem reference victim in
+    let mb = Causal.Waiting_list.mem wl victim in
+    if ma <> mb then
+      fail "mem %a: %b (reference) vs %b" Causal.Mid.pp victim ma mb;
+    Waiting_list_reference.remove reference victim;
+    Causal.Waiting_list.remove wl victim
+  in
+  let discard origin seq =
+    let da = Waiting_list_reference.discard_from reference ~origin ~seq in
+    let db = Causal.Waiting_list.discard_from wl ~origin ~seq in
+    if not (List.equal Causal.Mid.equal da db) then
+      fail "discard_from (%a,%d): [%a] (reference) vs [%a]" Net.Node_id.pp
+        origin seq pp_mids da pp_mids db
+  in
   let check_state () =
     let la = Waiting_list_reference.length reference in
     let lb = Causal.Waiting_list.length wl in
@@ -177,11 +211,7 @@ let run_equivalence seed =
     let ta = mids_of (Waiting_list_reference.to_list reference) in
     let tb = mids_of (Causal.Waiting_list.to_list wl) in
     if not (List.equal Causal.Mid.equal ta tb) then
-      fail "to_list [%a] (reference) vs [%a]"
-        (Format.pp_print_list Causal.Mid.pp)
-        ta
-        (Format.pp_print_list Causal.Mid.pp)
-        tb;
+      fail "to_list [%a] (reference) vs [%a]" pp_mids ta pp_mids tb;
     let va = Waiting_list_reference.oldest_vector reference in
     let vb = Causal.Waiting_list.oldest_vector wl in
     for o = 0 to n - 1 do
@@ -195,30 +225,13 @@ let run_equivalence seed =
   in
   for _op = 1 to equivalence_ops do
     (match Random.State.int rng 100 with
-    | r when r < 40 ->
-        let m = rand_msg () in
-        Waiting_list_reference.add reference m;
-        Causal.Waiting_list.add wl m
-    | r when r < 50 ->
-        let victim = mid (rand_origin ()) (rand_seq ()) in
-        let ma = Waiting_list_reference.mem reference victim in
-        let mb = Causal.Waiting_list.mem wl victim in
-        if ma <> mb then fail "mem %a: %b (reference) vs %b" Causal.Mid.pp victim ma mb;
-        Waiting_list_reference.remove reference victim;
-        Causal.Waiting_list.remove wl victim
-    | r when r < 65 ->
-        let origin = node (rand_origin ()) and seq = rand_seq () in
-        let da = Waiting_list_reference.discard_from reference ~origin ~seq in
-        let db = Causal.Waiting_list.discard_from wl ~origin ~seq in
-        if not (List.equal Causal.Mid.equal da db) then
-          fail "discard_from (%a,%d): [%a] (reference) vs [%a]" Net.Node_id.pp
-            origin seq
-            (Format.pp_print_list Causal.Mid.pp)
-            da
-            (Format.pp_print_list Causal.Mid.pp)
-            db
-    | r when r < 90 ->
-        let rec drain () =
+    | r when r < 35 -> add (rand_msg ())
+    | r when r < 43 -> remove (mid (rand_origin ()) (rand_seq ()))
+    | r when r < 55 -> discard (node (rand_origin ())) (rand_seq ())
+    | r when r < 77 ->
+        (* Usually drain to the end; sometimes stop after a take or two, so
+           processable messages stay behind while the vector moves on. *)
+        let rec drain budget =
           let a = Waiting_list_reference.take_processable reference delivery in
           let b = Causal.Waiting_list.take_processable wl delivery in
           match (a, b) with
@@ -227,7 +240,7 @@ let run_equivalence seed =
             when Causal.Mid.equal ma.Causal.Causal_msg.mid
                    mb.Causal.Causal_msg.mid ->
               Causal.Delivery.mark delivery ma.Causal.Causal_msg.mid;
-              drain ()
+              if budget > 1 then drain (budget - 1)
           | a, b ->
               let pp ppf = function
                 | None -> Format.pp_print_string ppf "None"
@@ -235,13 +248,64 @@ let run_equivalence seed =
               in
               fail "take_processable %a (reference) vs %a" pp a pp b
         in
-        drain ()
-    | _ ->
+        drain
+          (if Random.State.bool rng then max_int
+           else 1 + Random.State.int rng 2)
+    | r when r < 84 ->
         (* Shared delivery state jumps ahead without processing, exercising
            the optimized list's lazy resynchronization. *)
         Causal.Delivery.force_skip_to delivery
           ~origin:(node (rand_origin ()))
-          ~seq:(rand_seq ()));
+          ~seq:(rand_seq ())
+    | r when r < 92 ->
+        (* An origin's next message processed outside [take_processable],
+           as a member does with a message processable on arrival: the
+           lists see the vector move only at their next sync.  Half the
+           time it is a copy of a waiting message that could be taken. *)
+        let next o =
+          mid o (Causal.Delivery.last_processed delivery (node o) + 1)
+        in
+        let is_next m =
+          let m = m.Causal.Causal_msg.mid in
+          Causal.Mid.equal m (next (Net.Node_id.to_int (Causal.Mid.origin m)))
+        in
+        let waiting_next =
+          List.filter is_next (Waiting_list_reference.to_list reference)
+        in
+        Causal.Delivery.mark delivery
+          (match waiting_next with
+          | m :: _ when Random.State.bool rng -> m.Causal.Causal_msg.mid
+          | _ -> next (rand_origin ()))
+    | _ -> (
+        (* Remove a waiting message and re-add its mid under a different
+           dependency set, then discard from one of the new dependencies:
+           nothing may still follow the old set. *)
+        match Waiting_list_reference.to_list reference with
+        | [] -> ()
+        | waiting ->
+            let old =
+              List.nth waiting (Random.State.int rng (List.length waiting))
+            in
+            let m = old.Causal.Causal_msg.mid in
+            let o = Net.Node_id.to_int (Causal.Mid.origin m) in
+            let deps =
+              match rand_deps o with
+              | deps
+                when not
+                       (List.equal Causal.Mid.equal deps
+                          (Array.to_list old.Causal.Causal_msg.deps)) ->
+                  deps
+              | _ :: rest -> rest
+              | [] -> [ mid ((o + 1) mod n) (rand_seq ()) ]
+            in
+            remove m;
+            add (msg ~deps o (Causal.Mid.seq m));
+            let root =
+              match deps with
+              | d :: _ when Random.State.bool rng -> d
+              | _ -> mid (rand_origin ()) (rand_seq ())
+            in
+            discard (Causal.Mid.origin root) (Causal.Mid.seq root)));
     check_state ()
   done
 
@@ -255,6 +319,71 @@ let equivalence_tests =
         for seed = 0 to equivalence_runs - 1 do
           run_equivalence seed
         done);
+    Alcotest.test_case
+      (Printf.sprintf
+         "frontier deps at n = 8 equal the reference (%d randomized runs)"
+         equivalence_runs)
+      `Quick
+      (fun () ->
+        for seed = 0 to equivalence_runs - 1 do
+          run_equivalence ~n:8 ~dense:true seed
+        done);
+  ]
+
+(* -- footprint: a list keeps nothing of the messages it let go ---------- *)
+
+(* One cycle at n = 40 through both ways out of the list.  Origin [o]'s
+   next message arrives before its predecessor with a dependency on every
+   other origin's latest processed message (a sender's frontier); the
+   predecessor is processed and the list drained.  Then crashed origin 0
+   leaves a message behind its own missing predecessor, [o] sends one that
+   depends on it, and the group discards both. *)
+let footprint_cycle wl d i =
+  let n = 40 in
+  let last o = Causal.Delivery.last_processed d (node o) in
+  let take () =
+    Option.map
+      (fun m -> m.Causal.Causal_msg.mid)
+      (Causal.Waiting_list.take_processable wl d)
+  in
+  let o = 1 + (i mod (n - 1)) in
+  let s = last o + 1 in
+  let frontier =
+    List.filter_map
+      (fun p -> if p = o || last p = 0 then None else Some (mid p (last p)))
+      (List.init n Fun.id)
+  in
+  Causal.Waiting_list.add wl (msg ~deps:frontier o (s + 1));
+  Alcotest.(check (option mid_testable)) "blocked" None (take ());
+  Causal.Delivery.mark d (mid o s);
+  Alcotest.(check (option mid_testable)) "drained" (Some (mid o (s + 1)))
+    (take ());
+  Causal.Delivery.mark d (mid o (s + 1));
+  let orphan = mid 0 ((2 * i) + 2) in
+  Causal.Waiting_list.add wl (msg 0 (Causal.Mid.seq orphan));
+  Causal.Waiting_list.add wl (msg ~deps:[ orphan ] o (s + 2));
+  Alcotest.(check (option mid_testable)) "parked" None (take ());
+  Alcotest.(check (list mid_testable)) "discarded" [ orphan; mid o (s + 2) ]
+    (Causal.Waiting_list.discard_from wl ~origin:(node 0)
+       ~seq:(Causal.Mid.seq orphan - 1));
+  Alcotest.(check bool) "empty" true (Causal.Waiting_list.is_empty wl)
+
+let footprint_tests =
+  [
+    Alcotest.test_case "footprint is flat over add/drain/discard cycles"
+      `Quick (fun () ->
+        let wl = Causal.Waiting_list.create ~n:40 in
+        let d = Causal.Delivery.create ~n:40 in
+        let words () = Obj.reachable_words (Obj.repr wl) in
+        for i = 0 to 999 do
+          footprint_cycle wl d i
+        done;
+        let after_1000 = words () in
+        for i = 1000 to 3999 do
+          footprint_cycle wl d i
+        done;
+        Alcotest.(check int) "words after 4000 cycles = after 1000"
+          after_1000 (words ()));
   ]
 
 (* -- member equivalence: sink emission vs the list-building reference ----
@@ -390,5 +519,6 @@ let suite =
     ("hotpath.history", history_tests);
     ("hotpath.oldest", oldest_tests);
     ("hotpath.equivalence", equivalence_tests);
+    ("hotpath.footprint", footprint_tests);
     ("hotpath.member_equivalence", member_equivalence_tests);
   ]
