@@ -19,6 +19,7 @@ let n = 15
 let k = 3
 let fs = [ 0; 1; 2; 3; 4; 5; 6 ]
 let crash_subrun = 5
+let background = Workload.Load.make ~rate:0.3 ~total_messages:200 ()
 
 let crash_time i =
   Sim.Ticks.of_int ((crash_subrun * Sim.Ticks.per_rtd) + 1 + i)
@@ -47,16 +48,11 @@ let measure_urcgc f =
   let net = Net.Netsim.create engine ~fault ~rng:(Sim.Rng.split rng) () in
   let cluster = Urcgc.Cluster.create ~config ~net () in
   (* Light background load so the group has messages to stabilize. *)
-  let produced = ref 0 in
-  Urcgc.Cluster.on_round cluster (fun ~round:_ ->
-      if !produced < 200 then
-        List.iter
-          (fun node ->
-            if Sim.Rng.bool rng 0.3 then begin
-              incr produced;
-              Urcgc.Cluster.submit cluster node !produced
-            end)
-          (Net.Node_id.group n));
+  let injector =
+    Workload.Load.injector background ~rng (Urcgc.Cluster.group cluster)
+      ~submit:(fun node id -> Urcgc.Cluster.submit cluster node id)
+  in
+  Urcgc.Cluster.on_round cluster (Workload.Load.inject injector);
   let crashed_ids = 14 :: List.init f (fun i -> crash_subrun + i) in
   let decided_at = ref None in
   Urcgc.Cluster.on_round cluster (fun ~round:_ ->
@@ -113,16 +109,11 @@ let measure_cbcast f =
   let cluster =
     Cbcast.Cluster.create ~n ~k ~engine ~fault ~rng:(Sim.Rng.split rng) ()
   in
-  let produced = ref 0 in
-  Cbcast.Cluster.on_round cluster (fun ~round:_ ->
-      if !produced < 200 then
-        List.iter
-          (fun node ->
-            if Sim.Rng.bool rng 0.3 then begin
-              incr produced;
-              Cbcast.Cluster.submit cluster node !produced
-            end)
-          (Net.Node_id.group n));
+  let injector =
+    Workload.Load.injector background ~rng (Cbcast.Cluster.group cluster)
+      ~submit:(fun node id -> Cbcast.Cluster.submit cluster node id)
+  in
+  Cbcast.Cluster.on_round cluster (Workload.Load.inject injector);
   Cbcast.Cluster.start cluster;
   Sim.Engine.run engine ~until:(Sim.Ticks.of_rtd 200.0);
   let crashed_ids = 14 :: List.init f (fun i -> i) in

@@ -10,14 +10,14 @@
    are sized to expose super-linear behaviour — a quadratic waiting-list
    scan is ~100x slower at W = 2048 — plus a full simulated subrun at n in
    {8, 15, 40, 128, 256, 512} as the end-to-end sanity point.  Every sample
-   reports wall-clock and GC minor words per logical operation, so
-   allocation regressions surface alongside time; the stdout table also
-   shows all words allocated (aw/op, see [alloc_words]).
+   reports wall-clock and all words allocated per logical operation (aw/op,
+   see [alloc_words]), so allocation regressions surface alongside time.
 
    `--check FILE` compares the fresh run against a committed baseline and
-   fails (exit 1) if any operation regressed more than 5x: a loose bound
-   that catches an accidental return to O(W^2) behaviour, not scheduler
-   noise.  See docs/PERF.md for the methodology. *)
+   fails (exit 1) if any operation regressed more than 5x in time (a loose
+   bound that catches an accidental return to O(W^2) behaviour, not
+   scheduler noise) or more than 1.5x + 32 words in allocation.  See
+   docs/PERF.md for the methodology. *)
 
 let node = Net.Node_id.of_int
 
@@ -32,14 +32,13 @@ type sample = {
   ops : int;  (* logical operations per repetition *)
   reps : int;
   ns_per_op : float;
-  minor_words_per_op : float;
-  alloc_words_per_op : float;  (* stdout only: the JSON schema predates it *)
+  alloc_words_per_op : float;
 }
 
 (* Words allocated = minor + major - promoted.  [Gc.quick_stat]'s minor
    count only advances at minor collections on OCaml 5, so small scenarios
-   read 0 or a whole minor heap, and blocks above 256 words skip the minor
-   heap altogether; [Gc.minor_words] is exact. *)
+   would read 0 or a whole minor heap, and blocks above 256 words skip the
+   minor heap altogether; [Gc.minor_words] is exact. *)
 let alloc_words () =
   let minor = Gc.minor_words () in
   let _, promoted, major = Gc.counters () in
@@ -60,7 +59,6 @@ let measure ~quick ~name ~ops f =
     end
   in
   Gc.full_major ();
-  let s0 = Gc.quick_stat () in
   let a0 = alloc_words () in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to reps do
@@ -68,14 +66,12 @@ let measure ~quick ~name ~ops f =
   done;
   let t1 = Unix.gettimeofday () in
   let a1 = alloc_words () in
-  let s1 = Gc.quick_stat () in
   let total = float_of_int (reps * ops) in
   {
     name;
     ops;
     reps;
     ns_per_op = (t1 -. t0) *. 1e9 /. total;
-    minor_words_per_op = (s1.Gc.minor_words -. s0.Gc.minor_words) /. total;
     alloc_words_per_op = (a1 -. a0) /. total;
   }
 
@@ -242,7 +238,7 @@ let run_all ~quick =
 
 let json_of_samples ~quick samples =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"schema\":\"urcgc.bench.hotpath/1\",";
+  Buffer.add_string buf "{\"schema\":\"urcgc.bench.hotpath/2\",";
   Buffer.add_string buf
     (Printf.sprintf "\"quick\":%b,\"results\":[" quick);
   List.iteri
@@ -250,8 +246,8 @@ let json_of_samples ~quick samples =
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf
-           "{\"name\":\"%s\",\"ops\":%d,\"reps\":%d,\"ns_per_op\":%.2f,\"minor_words_per_op\":%.2f}"
-           s.name s.ops s.reps s.ns_per_op s.minor_words_per_op))
+           "{\"name\":\"%s\",\"ops\":%d,\"reps\":%d,\"ns_per_op\":%.2f,\"alloc_words_per_op\":%.2f}"
+           s.name s.ops s.reps s.ns_per_op s.alloc_words_per_op))
     samples;
   Buffer.add_string buf "]}\n";
   Buffer.contents buf
@@ -276,7 +272,7 @@ let baseline_ns path =
               (Sim.Json.member "name" row, number (Sim.Json.member "ns_per_op" row))
             with
             | Some (Sim.Json.Str name), Some ns ->
-                Some (name, (ns, number (Sim.Json.member "minor_words_per_op" row)))
+                Some (name, (ns, number (Sim.Json.member "alloc_words_per_op" row)))
             | _ -> None
           in
           Ok (List.filter_map entry rows)
@@ -290,18 +286,19 @@ let check_against ~path ~baseline samples =
   | Ok baseline ->
       let tolerance = 5.0 in
       (* Allocation per op is near-deterministic (no scheduler in the loop),
-         so the minor-words gate is much tighter than the wall-clock one:
-         it exists to catch a reintroduced per-message list or closure, not
-         noise.  A small absolute slack absorbs GC-stat granularity on the
-         scenarios that allocate almost nothing. *)
-      let mw_tolerance = 1.5 in
-      let mw_slack = 32.0 in
+         so the allocation gate is much tighter than the wall-clock one: it
+         exists to catch a reintroduced per-message list or closure, not
+         noise.  A small absolute slack keeps the scenarios that allocate
+         almost nothing from tripping on a single boxed float.  A baseline
+         without [alloc_words_per_op] (schema 1) is gated on time only. *)
+      let aw_tolerance = 1.5 in
+      let aw_slack = 32.0 in
       let failures =
         List.concat_map
           (fun s ->
             match List.assoc_opt s.name baseline with
             | None -> []
-            | Some (base_ns, base_mw) ->
+            | Some (base_ns, base_aw) ->
                 let time =
                   if s.ns_per_op <= tolerance *. base_ns then []
                   else
@@ -312,19 +309,19 @@ let check_against ~path ~baseline samples =
                     ]
                 in
                 let words =
-                  match base_mw with
+                  match base_aw with
                   | None -> []
-                  | Some base_mw
-                    when s.minor_words_per_op
-                         <= (mw_tolerance *. base_mw) +. mw_slack ->
+                  | Some base_aw
+                    when s.alloc_words_per_op
+                         <= (aw_tolerance *. base_aw) +. aw_slack ->
                       []
-                  | Some base_mw ->
+                  | Some base_aw ->
                       [
                         Printf.sprintf
-                          "%s: %.0f mw/op vs baseline %.0f mw/op (> %.1fx + \
+                          "%s: %.0f aw/op vs baseline %.0f aw/op (> %.1fx + \
                            %.0f)"
-                          s.name s.minor_words_per_op base_mw mw_tolerance
-                          mw_slack;
+                          s.name s.alloc_words_per_op base_aw aw_tolerance
+                          aw_slack;
                       ]
                 in
                 time @ words)
@@ -335,7 +332,7 @@ let check_against ~path ~baseline samples =
         Format.printf
           "  baseline check: all ops within %.0fx time and %.1fx allocation \
            of %s@."
-          tolerance mw_tolerance path;
+          tolerance aw_tolerance path;
       failures = []
 
 (* One profiled n=128 subrun: span-level time/allocation attribution of the
@@ -364,12 +361,12 @@ let run ?(quick = false) ?out ?check ?profile () =
      path the check compares against. *)
   let baseline = Option.map (fun path -> (path, baseline_ns path)) check in
   let samples = run_all ~quick in
-  Format.printf "  %-28s %6s %6s %14s %10s %10s@." "benchmark" "ops" "reps"
-    "ns/op" "mw/op" "aw/op";
+  Format.printf "  %-28s %6s %6s %14s %10s@." "benchmark" "ops" "reps" "ns/op"
+    "aw/op";
   List.iter
     (fun s ->
-      Format.printf "  %-28s %6d %6d %14.1f %10.2f %10.2f@." s.name s.ops
-        s.reps s.ns_per_op s.minor_words_per_op s.alloc_words_per_op)
+      Format.printf "  %-28s %6d %6d %14.1f %10.2f@." s.name s.ops s.reps
+        s.ns_per_op s.alloc_words_per_op)
     samples;
   (match out with
   | None -> ()

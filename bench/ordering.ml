@@ -32,27 +32,15 @@ let measure_urgc ~rate =
   let fault = Net.Fault.create Net.Fault.reliable ~rng:(Sim.Rng.split rng) in
   let net = Net.Netsim.create engine ~fault ~rng:(Sim.Rng.split rng) () in
   let cluster = Urgc.Cluster.create ~n ~k ~net () in
-  let produced = ref 0 in
-  Urgc.Cluster.on_round cluster (fun ~round:_ ->
-      List.iter
-        (fun node ->
-          if !produced < messages && Sim.Rng.bool rng rate then begin
-            incr produced;
-            Urgc.Cluster.submit cluster node !produced
-          end)
-        (Net.Node_id.group n));
-  Urgc.Cluster.start cluster;
-  let rtd = Sim.Ticks.of_int Sim.Ticks.per_rtd in
-  let rec advance () =
-    let now = Sim.Engine.now engine in
-    if Sim.Ticks.to_rtd now >= 200.0 then ()
-    else begin
-      Sim.Engine.run engine ~until:(Sim.Ticks.add now rtd);
-      if !produced >= messages && Urgc.Cluster.quiescent cluster then ()
-      else advance ()
-    end
+  let load = Workload.Load.make ~rate ~total_messages:messages () in
+  let injector =
+    Workload.Load.injector load ~rng (Urgc.Cluster.group cluster)
+      ~submit:(fun node id -> Urgc.Cluster.submit cluster node id)
   in
-  advance ();
+  Urgc.Cluster.on_round cluster (Workload.Load.inject injector);
+  Urgc.Cluster.start cluster;
+  Net.Group.run (Urgc.Cluster.group cluster) ~max_rtd:200.0 ~until:(fun () ->
+      Workload.Load.cap_reached injector && Urgc.Cluster.quiescent cluster);
   if not (Urgc.Cluster.total_order_ok cluster) then
     Format.printf "  !! total-order violation at rate %.2f@." rate;
   let sent_at = Hashtbl.create 256 in

@@ -153,9 +153,9 @@ let run_scenario n k rate messages omission crashes flow seed trace codec
     cli_scenario ~name:"cli" n k rate messages omission crashes flow seed codec
       max_rtd
   in
-  let tracer = if trace then Sim.Tracer.create () else Sim.Tracer.null in
+  let tracer = if trace then Sim.Trace.create () else Sim.Trace.null in
   let report = Workload.Runner.run ~tracer scenario in
-  if trace then Sim.Tracer.dump Format.std_formatter tracer;
+  if trace then Sim.Trace.dump Format.std_formatter tracer;
   Format.printf "%a@." Workload.Runner.pp_report report;
   if Workload.Checker.ok report.Workload.Runner.verdict then 0 else 1
 
@@ -319,11 +319,11 @@ let run_cbcast n k rate messages crashes seed trace max_rtd =
          crashes)
       Net.Fault.reliable
   in
-  let tracer = if trace then Sim.Tracer.create () else Sim.Tracer.null in
+  let tracer = if trace then Sim.Trace.create () else Sim.Trace.null in
   let report =
     Workload.Runner_cbcast.run ~tracer ~n ~k ~load ~fault ~seed ~max_rtd ()
   in
-  if trace then Sim.Tracer.dump Format.std_formatter tracer;
+  if trace then Sim.Trace.dump Format.std_formatter tracer;
   Format.printf "%a@." Workload.Runner_cbcast.pp_report report;
   if
     report.Workload.Runner_cbcast.causal_ok
@@ -357,11 +357,11 @@ let run_psync n k rate messages omission crashes seed trace max_rtd =
          crashes)
       base
   in
-  let tracer = if trace then Sim.Tracer.create () else Sim.Tracer.null in
+  let tracer = if trace then Sim.Trace.create () else Sim.Trace.null in
   let report =
     Workload.Runner_psync.run ~tracer ~n ~k ~load ~fault ~seed ~max_rtd ()
   in
-  if trace then Sim.Tracer.dump Format.std_formatter tracer;
+  if trace then Sim.Trace.dump Format.std_formatter tracer;
   Format.printf "%a@." Workload.Runner_psync.pp_report report;
   if report.Workload.Runner_psync.causal_ok then 0 else 1
 
@@ -395,27 +395,15 @@ let run_urgc n k rate messages omission crashes seed max_rtd =
   let fault = Net.Fault.create fault_spec ~rng:(Sim.Rng.split rng) in
   let net = Net.Netsim.create engine ~fault ~rng:(Sim.Rng.split rng) () in
   let cluster = Urgc.Cluster.create ~n ~k ~net () in
-  let produced = ref 0 in
-  Urgc.Cluster.on_round cluster (fun ~round:_ ->
-      List.iter
-        (fun node ->
-          if !produced < messages && Sim.Rng.bool rng rate then begin
-            incr produced;
-            Urgc.Cluster.submit cluster node !produced
-          end)
-        (Net.Node_id.group n));
-  Urgc.Cluster.start cluster;
-  let rtd = Sim.Ticks.of_int Sim.Ticks.per_rtd in
-  let rec advance () =
-    let now = Sim.Engine.now engine in
-    if Sim.Ticks.to_rtd now >= max_rtd then ()
-    else begin
-      Sim.Engine.run engine ~until:(Sim.Ticks.add now rtd);
-      if !produced >= messages && Urgc.Cluster.quiescent cluster then ()
-      else advance ()
-    end
+  let load = Workload.Load.make ~rate ~total_messages:messages () in
+  let injector =
+    Workload.Load.injector load ~rng (Urgc.Cluster.group cluster)
+      ~submit:(fun node id -> Urgc.Cluster.submit cluster node id)
   in
-  advance ();
+  Urgc.Cluster.on_round cluster (Workload.Load.inject injector);
+  Urgc.Cluster.start cluster;
+  Net.Group.run (Urgc.Cluster.group cluster) ~max_rtd ~until:(fun () ->
+      Workload.Load.cap_reached injector && Urgc.Cluster.quiescent cluster);
   let ok = Urgc.Cluster.total_order_ok cluster in
   Format.printf
     "urgc: generated=%d processed events=%d over %d subruns; total order: %b@."
@@ -609,8 +597,8 @@ let run_replay n k rate messages send_omission recv_omission link_loss
      default ring to an unbounded sink. *)
   let tracer =
     if analyze then Sim.Trace.unbounded ()
-    else if trace then Sim.Tracer.create ()
-    else Sim.Tracer.null
+    else if trace then Sim.Trace.create ()
+    else Sim.Trace.null
   in
   let registry = if metrics then Sim.Metrics.create () else Sim.Metrics.null in
   let scenario =
@@ -619,7 +607,7 @@ let run_replay n k rate messages send_omission recv_omission link_loss
   profile_enable profile;
   let report = Workload.Runner.run ~tracer ~metrics:registry scenario in
   profile_finish profile;
-  if trace then Sim.Tracer.dump Format.std_formatter tracer;
+  if trace then Sim.Trace.dump Format.std_formatter tracer;
   let outcome = Workload.Campaign.evaluate spec report in
   Format.printf "%a@." Workload.Runner.pp_report report;
   Format.printf "spec: %a@." Workload.Campaign.pp_spec spec;

@@ -27,7 +27,7 @@ let () =
   let fault = Net.Fault.create fault_spec ~rng:(Sim.Rng.split rng) in
   let net = Net.Netsim.create engine ~fault ~rng:(Sim.Rng.split rng) () in
   let config = Urcgc.Config.make ~k ~n () in
-  let tracer = Sim.Tracer.create () in
+  let tracer = Sim.Trace.create () in
   let cluster = Urcgc.Cluster.create ~tracer ~config ~net () in
 
   (* Steady telemetry from every controller, one reading every other round. *)

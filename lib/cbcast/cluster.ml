@@ -12,34 +12,16 @@ type view_change = {
 }
 
 type 'a t = {
-  n : int;
+  group : 'a Member.t Net.Group.t;
   transport : 'a Cb_wire.body Net.Transport.t;
-  engine : Sim.Engine.t;
-  fault : Net.Fault.t;
-  tracer : Sim.Tracer.t;
-  members : 'a Member.t array;
-  mutable round : int;
-  mutable started : bool;
-  mutable round_callbacks : (round:int -> unit) list;
+  tracer : Sim.Trace.t;
   mutable deliveries : 'a delivery list;
   mutable generations : (Net.Node_id.t * int * Sim.Ticks.t) list;
   mutable view_changes : view_change list;
   mutable flush_starts : (Net.Node_id.t * int * Sim.Ticks.t) list;
 }
 
-let now t = Sim.Engine.now t.engine
-
-let crashed t node = Net.Fault.crashed t.fault ~now:(now t) node
-
-let dsts_of t member =
-  let self = Member.id member in
-  let members = Member.members member in
-  let dsts = ref [] in
-  for i = t.n - 1 downto 0 do
-    if members.(i) && i <> Net.Node_id.to_int self then
-      dsts := Net.Node_id.of_int i :: !dsts
-  done;
-  !dsts
+let now t = Net.Group.now t.group
 
 let send t member ~dsts body =
   match dsts with
@@ -51,7 +33,12 @@ let send t member ~dsts body =
         ~on_confirm:(fun ~acked:_ -> ())
         body
 
-let rec execute t member action =
+let narrate t self fmt =
+  Sim.Trace.note t.tracer ~time:(now t)
+    ~source:(Format.asprintf "%a" Net.Node_id.pp self)
+    fmt
+
+let execute t member action =
   let self = Member.id member in
   match action with
   | Member.Multicast body ->
@@ -61,42 +48,30 @@ let rec execute t member action =
       | Cb_wire.Heartbeat _ | Cb_wire.Token _ | Cb_wire.Stability _ | Cb_wire.Suspect _
       | Cb_wire.Flush_req _ | Cb_wire.Flush_unstable _ | Cb_wire.New_view _ ->
           ());
-      send t member ~dsts:(dsts_of t member) body
+      send t member ~dsts:(Net.Node_id.peers (Member.members member) ~self) body
   | Member.Unicast (dst, body) -> send t member ~dsts:[ dst ] body
   | Member.Delivered data ->
       t.deliveries <- { node = self; data; at = now t } :: t.deliveries
   | Member.View_installed { view_id; members } ->
       t.view_changes <-
         { at_node = self; view_id; members; at = now t } :: t.view_changes;
-      Sim.Tracer.emitf t.tracer ~time:(now t)
-        ~source:(Format.asprintf "%a" Net.Node_id.pp self)
-        "installed view %d" view_id
+      narrate t self "installed view %d" view_id
   | Member.Flush_begun view_id ->
       t.flush_starts <- (self, view_id, now t) :: t.flush_starts;
-      Sim.Tracer.emitf t.tracer ~time:(now t)
-        ~source:(Format.asprintf "%a" Net.Node_id.pp self)
-        "flush for view %d begun" view_id
-  | Member.Halted _ ->
-      Sim.Tracer.emitf t.tracer ~time:(now t)
-        ~source:(Format.asprintf "%a" Net.Node_id.pp self)
-        "halted (excluded from view)"
+      narrate t self "flush for view %d begun" view_id
+  | Member.Halted _ -> narrate t self "halted (excluded from view)"
 
-and execute_all t member actions = List.iter (execute t member) actions
+let execute_all t member actions = List.iter (execute t member) actions
 
-let create ?(tracer = Sim.Tracer.null) ~n ~k ~engine ~fault ~rng () =
+let create ?(tracer = Sim.Trace.null) ~n ~k ~engine ~fault ~rng () =
   let transport = Net.Transport.create engine ~fault ~rng () in
   let members = Array.init n (fun i -> Member.create ~n ~k (Net.Node_id.of_int i)) in
+  let group = Net.Group.create ~engine ~fault ~active:Member.active members in
   let t =
     {
-      n;
+      group;
       transport;
-      engine;
-      fault;
       tracer;
-      members;
-      round = 0;
-      started = false;
-      round_callbacks = [];
       deliveries = [];
       generations = [];
       view_changes = [];
@@ -105,72 +80,41 @@ let create ?(tracer = Sim.Tracer.null) ~n ~k ~engine ~fault ~rng () =
   in
   Array.iter
     (fun member ->
-      Net.Transport.attach transport (Member.id member) (fun ~src body ->
-          if not (crashed t (Member.id member)) then
+      let self = Member.id member in
+      Net.Transport.attach transport self (fun ~src body ->
+          if not (Net.Group.crashed group self) then
             execute_all t member
-              (Member.handle member ~subrun:(t.round / 2) ~from:src body)))
+              (Member.handle member ~subrun:(Net.Group.subrun group) ~from:src
+                 body)))
     members;
   t
 
-let run_round t =
-  let subrun = t.round / 2 in
-  Array.iter
-    (fun member ->
-      if not (crashed t (Member.id member)) then
-        execute_all t member (Member.on_round member ~subrun))
-    t.members;
-  t.round <- t.round + 1;
-  List.iter (fun callback -> callback ~round:(t.round - 1)) (List.rev t.round_callbacks)
-
 let start t =
-  if t.started then invalid_arg "Cluster.start: already started";
-  t.started <- true;
-  let rec tick () =
-    run_round t;
-    ignore (Sim.Engine.schedule_after t.engine ~delay:Sim.Ticks.round tick)
-  in
-  ignore (Sim.Engine.schedule_after t.engine ~delay:Sim.Ticks.zero tick)
+  Net.Group.start t.group (fun round ->
+      let subrun = round / 2 in
+      Net.Group.iter_live t.group (fun member ->
+          execute_all t member (Member.on_round member ~subrun)))
 
-let submit ?size t node payload =
-  Member.submit ?size t.members.(Net.Node_id.to_int node) payload
+let group t = t.group
 
-let member t node = t.members.(Net.Node_id.to_int node)
-let members t = Array.to_list t.members
-
-let on_round t callback = t.round_callbacks <- callback :: t.round_callbacks
-
+let member t node = Net.Group.member t.group node
+let submit ?size t node payload = Member.submit ?size (member t node) payload
+let members t = Net.Group.members t.group
+let on_round t callback = Net.Group.on_round t.group callback
 let deliveries t = List.rev t.deliveries
 let generations t = List.rev t.generations
 let view_changes t = List.rev t.view_changes
 let flush_starts t = List.rev t.flush_starts
-
 let traffic t = Net.Transport.traffic t.transport
+let subrun t = Net.Group.subrun t.group
+let active_members t = Net.Group.active_members t.group
 
-let subrun t = t.round / 2
+let idle member =
+  Member.sap_backlog member = 0
+  && Member.buffered member = 0
+  && not (Member.flushing member)
 
-let active_members t =
-  Array.to_list t.members
-  |> List.filter_map (fun member ->
-         let node = Member.id member in
-         if Member.active member && not (crashed t node) then Some node
-         else None)
+let agree first member =
+  Vclock.equal (Member.delivered_vt member) (Member.delivered_vt first)
 
-let quiescent t =
-  let actives =
-    Array.to_list t.members
-    |> List.filter (fun member ->
-           Member.active member && not (crashed t (Member.id member)))
-  in
-  match actives with
-  | [] -> true
-  | first :: rest ->
-      List.for_all
-        (fun member ->
-          Member.sap_backlog member = 0
-          && Member.buffered member = 0
-          && not (Member.flushing member))
-        actives
-      && List.for_all
-           (fun member ->
-             Vclock.equal (Member.delivered_vt member) (Member.delivered_vt first))
-           rest
+let quiescent t = Net.Group.quiescent t.group ~idle ~agree

@@ -22,7 +22,7 @@ type view_change = {
 type 'a t
 
 val create :
-  ?tracer:Sim.Tracer.t ->
+  ?tracer:Sim.Trace.t ->
   n:int ->
   k:int ->
   engine:Sim.Engine.t ->
@@ -32,6 +32,9 @@ val create :
   'a t
 
 val start : 'a t -> unit
+
+val group : 'a t -> 'a Member.t Net.Group.t
+(** The member table, round clock and run loop the cluster is built on. *)
 
 val submit : ?size:int -> 'a t -> Net.Node_id.t -> 'a -> unit
 

@@ -32,15 +32,12 @@ type departure = {
 type 'a t = {
   config : Config.t;
   medium : 'a Medium.t;
-  tracer : Sim.Tracer.t;
-  members : 'a Member.t array;
+  tracer : Sim.Trace.t;
+  group : 'a Member.t Net.Group.t;
   (* One action sink per member, built once at creation: members stream
      their actions straight into the cluster's effects (sends, records,
      trace) with no per-round action lists. *)
   mutable sinks : 'a Member.sink array;
-  mutable round : int;
-  mutable started : bool;
-  mutable round_callbacks : (round:int -> unit) list;
   mutable extra_broadcast_targets : Net.Node_id.t list;
   mutable delivery_callbacks : ('a delivery -> unit) list;
   mutable confirm_callbacks : (Net.Node_id.t -> Causal.Mid.t -> unit) list;
@@ -232,8 +229,7 @@ let sink_of t member =
 
 let sink t member = t.sinks.(Net.Node_id.to_int (Member.id member))
 
-let crashed t node =
-  Net.Fault.crashed (Medium.fault t.medium) ~now:(now t) node
+let crashed t node = Net.Group.crashed t.group node
 
 let on_body t member body =
   if not (crashed t (Member.id member)) then begin
@@ -244,7 +240,7 @@ let on_body t member body =
     Member.handle_into member (sink t member) body
   end
 
-let create_with_medium ?(tracer = Sim.Tracer.null) ~config ~medium () =
+let create_with_medium ?(tracer = Sim.Trace.null) ~config ~medium () =
   let initial_decision = Decision.initial ~n:config.Config.n in
   let members =
     Array.init config.Config.n (fun i ->
@@ -255,11 +251,10 @@ let create_with_medium ?(tracer = Sim.Tracer.null) ~config ~medium () =
       config;
       medium;
       tracer;
-      members;
+      group =
+        Net.Group.create ~engine:(Medium.engine medium)
+          ~fault:(Medium.fault medium) ~active:Member.active members;
       sinks = [||];
-      round = 0;
-      started = false;
-      round_callbacks = [];
       extra_broadcast_targets = [];
       delivery_callbacks = [];
       confirm_callbacks = [];
@@ -282,65 +277,43 @@ let create ?tracer ~config ~net () =
 
 let medium t = t.medium
 
-let run_round t =
-  let round = t.round in
-  let subrun = round / 2 in
-  if round mod 2 = 0 && tracing t then begin
-    (* Coordinator rotation is a function of the (shared, eventually
-       consistent) alive view; narrate it from the first active member's
-       perspective once per subrun. *)
-    let first_active =
-      Array.to_list t.members
-      |> List.find_opt (fun member ->
-             Member.active member && not (crashed t (Member.id member)))
-    in
-    match first_active with
-    | None -> ()
-    | Some member ->
-        let coordinator =
-          Coordinator.rotation
-            ~alive:(Causal.Group_view.alive_array (Member.view member))
-            ~subrun
-        in
-        emit t
-          (Sim.Trace.Rotate
-             { subrun; coordinator = Net.Node_id.to_int coordinator })
-  end;
-  Array.iter
-    (fun member ->
-      if not (crashed t (Member.id member)) then
-        if round mod 2 = 0 then
-          Member.begin_subrun_into member (sink t member) ~subrun
-        else Member.mid_subrun_into member (sink t member) ~subrun)
-    t.members;
-  t.round <- round + 1;
-  List.iter (fun callback -> callback ~round) (List.rev t.round_callbacks)
-
 let start t =
-  if t.started then invalid_arg "Cluster.start: already started";
-  t.started <- true;
-  let engine = engine t in
-  let rec tick () =
-    run_round t;
-    ignore
-      (Sim.Engine.schedule_after ~label:"cluster.round" engine
-         ~delay:Sim.Ticks.round tick)
-  in
-  ignore
-    (Sim.Engine.schedule_after ~label:"cluster.round" engine
-       ~delay:Sim.Ticks.zero tick)
+  Net.Group.start t.group (fun round ->
+      let subrun = round / 2 in
+      if round mod 2 = 0 && tracing t then begin
+        (* Coordinator rotation is a function of the (shared, eventually
+           consistent) alive view; narrate it from the first active member's
+           perspective once per subrun. *)
+        match Net.Group.active_members t.group with
+        | [] -> ()
+        | first :: _ ->
+            let coordinator =
+              Coordinator.rotation
+                ~alive:
+                  (Causal.Group_view.alive_array
+                     (Member.view (Net.Group.member t.group first)))
+                ~subrun
+            in
+            emit t
+              (Sim.Trace.Rotate
+                 { subrun; coordinator = Net.Node_id.to_int coordinator })
+      end;
+      Net.Group.iter_live t.group (fun member ->
+          if round mod 2 = 0 then
+            Member.begin_subrun_into member (sink t member) ~subrun
+          else Member.mid_subrun_into member (sink t member) ~subrun))
 
 let config t = t.config
-let member t node = t.members.(Net.Node_id.to_int node)
-let members t = Array.to_list t.members
+let group t = t.group
+let member t node = Net.Group.member t.group node
+let members t = Net.Group.members t.group
 
 let submit ?deps ?size t node payload =
   Member.submit ?deps ?size (member t node) payload
 
-let round t = t.round
-let subrun t = t.round / 2
-
-let on_round t callback = t.round_callbacks <- callback :: t.round_callbacks
+let round t = Net.Group.round t.group
+let subrun t = Net.Group.subrun t.group
+let on_round t callback = Net.Group.on_round t.group callback
 
 let on_delivery t callback =
   t.delivery_callbacks <- callback :: t.delivery_callbacks
@@ -375,37 +348,24 @@ let generations t = List.rev t.generations
 let departures t = List.rev t.departures
 let discards t = List.rev t.discards
 
-let active_members t =
-  Array.to_list t.members
-  |> List.filter_map (fun member ->
-         let node = Member.id member in
-         if Member.active member && not (crashed t node) then Some node
-         else None)
+let active_members t = Net.Group.active_members t.group
 
-let quiescent t =
-  let actives =
-    Array.to_list t.members
-    |> List.filter (fun member ->
-           Member.active member && not (crashed t (Member.id member)))
-  in
-  match actives with
-  | [] -> true
-  | first :: rest ->
-      let vector member =
-        List.init t.config.Config.n (fun j ->
-            Member.last_processed member (Net.Node_id.of_int j))
-      in
-      let idle member =
-        Member.sap_backlog member = 0
-        && Member.waiting_length member = 0
-        && not (Member.flow_blocked member)
-      in
-      List.for_all idle actives
-      && List.for_all (fun member -> vector member = vector first) rest
-      (* A process declared crashed but not yet aware of it is a zombie: the
-         group no longer addresses it, and it will only leave after its
-         decision-silence timeout.  The run is not settled until then. *)
-      && List.for_all
-           (fun member ->
-             Causal.Group_view.equal (Member.view member) (Member.view first))
-           rest
+let idle member =
+  Member.sap_backlog member = 0
+  && Member.waiting_length member = 0
+  && not (Member.flow_blocked member)
+
+(* The same [last_processed] vector and the same view.  A process declared
+   crashed but not yet aware of it is a zombie: the group no longer
+   addresses it, and it will only leave after its decision-silence timeout.
+   The run is not settled until then. *)
+let agree first member =
+  let same = ref true in
+  for j = 0 to (Member.config member).Config.n - 1 do
+    let origin = Net.Node_id.of_int j in
+    if Member.last_processed member origin <> Member.last_processed first origin
+    then same := false
+  done;
+  !same && Causal.Group_view.equal (Member.view member) (Member.view first)
+
+let quiescent t = Net.Group.quiescent t.group ~idle ~agree

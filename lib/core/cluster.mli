@@ -1,9 +1,10 @@
 (** A group of urcgc processes bound to the simulator and the network.
 
-    The cluster schedules the global round clock (two rounds per subrun, one
-    subrun per rtd), feeds each member its round hooks and incoming PDUs,
-    executes the resulting actions, and records everything an experiment
-    needs: processing events with timestamps, confirmations, discards and
+    The cluster sits on a {!Net.Group}, which owns the member table and the
+    global round clock (two rounds per subrun, one subrun per rtd).  It
+    feeds each member its round hooks and incoming PDUs, executes the
+    resulting actions, and records everything an experiment needs:
+    processing events with timestamps, confirmations, discards and
     departures. *)
 
 type 'a delivery = {
@@ -27,7 +28,7 @@ type departure = {
 type 'a t
 
 val create :
-  ?tracer:Sim.Tracer.t ->
+  ?tracer:Sim.Trace.t ->
   config:Config.t ->
   net:'a Wire.body Net.Netsim.t ->
   unit ->
@@ -38,7 +39,7 @@ val create :
     ids. *)
 
 val create_with_medium :
-  ?tracer:Sim.Tracer.t -> config:Config.t -> medium:'a Medium.t -> unit -> 'a t
+  ?tracer:Sim.Trace.t -> config:Config.t -> medium:'a Medium.t -> unit -> 'a t
 (** Same, over an arbitrary {!Medium} — in particular the Section 5
     transport entity with [h > 1] ({!Medium.of_transport}). *)
 
@@ -50,6 +51,10 @@ val start : 'a t -> unit
     so. *)
 
 val config : 'a t -> Config.t
+
+val group : 'a t -> 'a Member.t Net.Group.t
+(** The member table, round clock and run loop the cluster is built on. *)
+
 val member : 'a t -> Net.Node_id.t -> 'a Member.t
 val members : 'a t -> 'a Member.t list
 

@@ -2,12 +2,12 @@ let rotation ~alive ~subrun =
   let n = Array.length alive in
   if not (Array.exists Fun.id alive) then
     invalid_arg "Coordinator.rotation: no process alive";
-  let rec advance i steps =
+  let rec first_alive i steps =
     if steps > n then invalid_arg "Coordinator.rotation: no process alive"
     else if alive.(i) then Net.Node_id.of_int i
-    else advance ((i + 1) mod n) (steps + 1)
+    else first_alive ((i + 1) mod n) (steps + 1)
   in
-  advance (((subrun mod n) + n) mod n) 0
+  first_alive (((subrun mod n) + n) mod n) 0
 
 let merge_prev prev requests =
   List.fold_left

@@ -1,17 +1,19 @@
 (** Per-process urcgc protocol entity.
 
     A member is a deterministic state machine: the two round hooks
-    ({!begin_subrun}, {!mid_subrun}) and the PDU handler ({!handle}) each
-    return the list of {!action}s the process takes, and the embedding
-    ({!Node}) turns those into network sends and service indications.  This
-    keeps the whole protocol logic testable without a simulator.
+    ({!begin_subrun_into}, {!mid_subrun_into}) and the PDU handler
+    ({!handle_into}) each emit the {!action}s the process takes into a
+    {!sink}, and the embedding ({!Cluster}) turns those into network sends
+    and service indications.  The list forms ({!begin_subrun},
+    {!mid_subrun}, {!handle}) collect the same emissions.  This keeps the
+    whole protocol logic testable without a simulator.
 
     Timeline of subrun [s] (one rtd):
-    - round [2s] ({!begin_subrun}): send the request (state vectors + last
-      received decision) to the coordinator of [s]; possibly broadcast one
-      new data message; send recovery requests for known gaps.
-    - round [2s+1] ({!mid_subrun}): the coordinator computes and broadcasts
-      its decision; possibly broadcast one new data message. *)
+    - round [2s] ({!begin_subrun_into}): send the request (state vectors +
+      last received decision) to the coordinator of [s]; possibly broadcast
+      one new data message; send recovery requests for known gaps.
+    - round [2s+1] ({!mid_subrun_into}): the coordinator computes and
+      broadcasts its decision; possibly broadcast one new data message. *)
 
 type reason =
   | Declared_crashed  (** saw a decision with [alive.(self) = false]: suicide *)

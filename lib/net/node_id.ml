@@ -17,6 +17,13 @@ let hash t = t
 
 let pp ppf t = Format.fprintf ppf "p%d" t
 
+let peers alive ~self =
+  let peers = ref [] in
+  for i = Array.length alive - 1 downto 0 do
+    if alive.(i) && i <> self then peers := i :: !peers
+  done;
+  !peers
+
 let group n =
   if n <= 0 then invalid_arg "Node_id.group: n must be positive"
   else List.init n Fun.id

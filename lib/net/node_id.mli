@@ -18,6 +18,10 @@ val hash : t -> int
 val pp : Format.formatter -> t -> unit
 (** Prints as [p3]. *)
 
+val peers : bool array -> self:t -> t list
+(** [peers alive ~self] is every id [i] with [alive.(i)] except [self],
+    ascending: the destinations of a multicast over a membership vector. *)
+
 val group : int -> t list
 (** [group n] is [p0; ...; p(n-1)].  Raises [Invalid_argument] if [n <= 0]. *)
 

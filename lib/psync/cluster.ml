@@ -5,32 +5,16 @@ type 'a delivery = {
 }
 
 type 'a t = {
-  n : int;
+  group : 'a Member.t Net.Group.t;
   net : 'a Wire.body Net.Netsim.t;
-  tracer : Sim.Tracer.t;
-  members : 'a Member.t array;
-  mutable round : int;
-  mutable started : bool;
-  mutable round_callbacks : (round:int -> unit) list;
+  tracer : Sim.Trace.t;
   mutable deliveries : 'a delivery list;
   mutable generations : (Context_graph.mid * Sim.Ticks.t) list;
   mutable masked : (Net.Node_id.t * Net.Node_id.t * Sim.Ticks.t) list;
   mutable dropped : int;
 }
 
-let engine t = Net.Netsim.engine t.net
-let now t = Sim.Engine.now (engine t)
-let crashed t node = Net.Fault.crashed (Net.Netsim.fault t.net) ~now:(now t) node
-
-let dsts_of t member =
-  let self = Member.id member in
-  let participants = Member.participants member in
-  let dsts = ref [] in
-  for i = t.n - 1 downto 0 do
-    if participants.(i) && i <> Net.Node_id.to_int self then
-      dsts := Net.Node_id.of_int i :: !dsts
-  done;
-  !dsts
+let now t = Net.Group.now t.group
 
 let execute t member action =
   let self = Member.id member in
@@ -42,7 +26,8 @@ let execute t member action =
       | Wire.Retrans_req _ | Wire.Retrans_reply _ | Wire.Keepalive
       | Wire.Mask_out _ | Wire.Mask_ack _ | Wire.Mask_done _ ->
           ());
-      Net.Netsim.multicast t.net ~src:self ~dsts:(dsts_of t member)
+      Net.Netsim.multicast t.net ~src:self
+        ~dsts:(Net.Node_id.peers (Member.participants member) ~self)
         ~kind:(Wire.kind body) ~size:(Wire.body_size body) body
   | Member.Unicast (dst, body) ->
       Net.Netsim.send t.net ~src:self ~dst ~kind:(Wire.kind body)
@@ -51,26 +36,26 @@ let execute t member action =
       t.deliveries <- { node = self; msg; at = now t } :: t.deliveries
   | Member.Masked target ->
       t.masked <- (self, target, now t) :: t.masked;
-      Sim.Tracer.emitf t.tracer ~time:(now t)
+      Sim.Trace.note t.tracer ~time:(now t)
         ~source:(Format.asprintf "%a" Net.Node_id.pp self)
         "masked out %a" Net.Node_id.pp target
   | Member.Dropped mids -> t.dropped <- t.dropped + List.length mids
 
 let execute_all t member actions = List.iter (execute t member) actions
 
-let create ?(tracer = Sim.Tracer.null) ?pending_bound ~n ~k ~net () =
+let create ?(tracer = Sim.Trace.null) ?pending_bound ~n ~k ~net () =
   let members =
     Array.init n (fun i -> Member.create ?pending_bound ~n ~k (Net.Node_id.of_int i))
   in
+  let group =
+    Net.Group.create ~engine:(Net.Netsim.engine net) ~fault:(Net.Netsim.fault net)
+      ~active:Member.active members
+  in
   let t =
     {
-      n;
+      group;
       net;
       tracer;
-      members;
-      round = 0;
-      started = false;
-      round_callbacks = [];
       deliveries = [];
       generations = [];
       masked = [];
@@ -79,72 +64,38 @@ let create ?(tracer = Sim.Tracer.null) ?pending_bound ~n ~k ~net () =
   in
   Array.iter
     (fun member ->
-      Net.Netsim.attach net (Member.id member)
-        (fun (packet : _ Net.Netsim.packet) ->
-          if not (crashed t (Member.id member)) then
+      let self = Member.id member in
+      Net.Netsim.attach net self (fun (packet : _ Net.Netsim.packet) ->
+          if not (Net.Group.crashed group self) then
             execute_all t member
-              (Member.handle member ~subrun:(t.round / 2) ~from:packet.src
-                 packet.payload)))
+              (Member.handle member ~subrun:(Net.Group.subrun group)
+                 ~from:packet.src packet.payload)))
     members;
   t
 
-let run_round t =
-  let subrun = t.round / 2 in
-  Array.iter
-    (fun member ->
-      if not (crashed t (Member.id member)) then
-        execute_all t member (Member.on_round member ~subrun))
-    t.members;
-  t.round <- t.round + 1;
-  List.iter
-    (fun callback -> callback ~round:(t.round - 1))
-    (List.rev t.round_callbacks)
-
 let start t =
-  if t.started then invalid_arg "Cluster.start: already started";
-  t.started <- true;
-  let rec tick () =
-    run_round t;
-    ignore (Sim.Engine.schedule_after (engine t) ~delay:Sim.Ticks.round tick)
-  in
-  ignore (Sim.Engine.schedule_after (engine t) ~delay:Sim.Ticks.zero tick)
+  Net.Group.start t.group (fun round ->
+      let subrun = round / 2 in
+      Net.Group.iter_live t.group (fun member ->
+          execute_all t member (Member.on_round member ~subrun)))
 
-let submit ?size t node payload =
-  Member.submit ?size t.members.(Net.Node_id.to_int node) payload
+let group t = t.group
 
-let member t node = t.members.(Net.Node_id.to_int node)
-let members t = Array.to_list t.members
-
-let on_round t callback = t.round_callbacks <- callback :: t.round_callbacks
-
+let member t node = Net.Group.member t.group node
+let submit ?size t node payload = Member.submit ?size (member t node) payload
+let members t = Net.Group.members t.group
+let on_round t callback = Net.Group.on_round t.group callback
 let deliveries t = List.rev t.deliveries
 let generations t = List.rev t.generations
 let masked t = List.rev t.masked
 let dropped t = t.dropped
-let subrun t = t.round / 2
+let subrun t = Net.Group.subrun t.group
+let active_members t = Net.Group.active_members t.group
 
-let active_members t =
-  Array.to_list t.members
-  |> List.filter_map (fun member ->
-         let node = Member.id member in
-         if Member.active member && not (crashed t node) then Some node
-         else None)
+let idle member =
+  Member.sap_backlog member = 0
+  && Member.pending member = 0
+  && not (Member.masking member)
 
-let quiescent t =
-  let actives =
-    Array.to_list t.members
-    |> List.filter (fun member ->
-           Member.active member && not (crashed t (Member.id member)))
-  in
-  match actives with
-  | [] -> true
-  | first :: rest ->
-      List.for_all
-        (fun member ->
-          Member.sap_backlog member = 0
-          && Member.pending member = 0
-          && not (Member.masking member))
-        actives
-      && List.for_all
-           (fun member -> Member.attached member = Member.attached first)
-           rest
+let agree first member = Member.attached member = Member.attached first
+let quiescent t = Net.Group.quiescent t.group ~idle ~agree

@@ -13,7 +13,7 @@ type 'a delivery = {
 type 'a t
 
 val create :
-  ?tracer:Sim.Tracer.t ->
+  ?tracer:Sim.Trace.t ->
   ?pending_bound:int ->
   n:int ->
   k:int ->
@@ -22,6 +22,9 @@ val create :
   'a t
 
 val start : 'a t -> unit
+
+val group : 'a t -> 'a Member.t Net.Group.t
+(** The member table, round clock and run loop the cluster is built on. *)
 
 val submit : ?size:int -> 'a t -> Net.Node_id.t -> 'a -> unit
 

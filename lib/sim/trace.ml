@@ -84,6 +84,12 @@ let emit t ~time event =
       Queue.push { time; event } s.queue;
       if Queue.length s.queue > s.capacity then ignore (Queue.pop s.queue)
 
+let note t ~time ~source fmt =
+  match t with
+  | Null -> Format.ikfprintf ignore Format.str_formatter fmt
+  | Sink _ ->
+      Format.kasprintf (fun message -> emit t ~time (Note { source; message })) fmt
+
 let records = function
   | Null -> []
   | Sink s -> List.of_seq (Queue.to_seq s.queue)
@@ -97,7 +103,7 @@ let find t ~f =
 
 let iter t ~f = match t with Null -> () | Sink s -> Queue.iter f s.queue
 
-(* -- human rendering (the Tracer shim delegates here) -------------------- *)
+(* -- human rendering ------------------------------------------------------ *)
 
 let pp_pdu ppf = function
   | Data { origin; seq; deps; bytes } ->
@@ -153,6 +159,8 @@ let event_message event =
 let pp_record ppf { time; event } =
   Format.fprintf ppf "[%a] %-12s %s" Ticks.pp time (event_source event)
     (event_message event)
+
+let dump ppf t = iter t ~f:(fun r -> Format.fprintf ppf "%a@." pp_record r)
 
 (* -- JSONL export ---------------------------------------------------------
 

@@ -1,7 +1,7 @@
 (** Typed protocol trace.
 
-    The simulator components emit structured {!event}s into a {!t} sink;
-    the string-oriented {!Tracer} API is a thin shim over this layer.  The
+    The simulator components emit structured {!event}s into a {!t} sink,
+    and free-form narration goes into the same sink as {!Note} events.  The
     sim library sits below the protocol libraries, so events refer to nodes
     by integer index and to messages by [(origin, seq)] pairs — exactly the
     representation the JSONL export uses.
@@ -63,7 +63,7 @@ type event =
   | Drop of { src : int; dst : int; kind : Traffic_class.t; stage : stage }
       (** fault injection: the subnetwork lost a packet *)
   | Note of { source : string; message : string }
-      (** free-form, emitted via the {!Tracer} compatibility shim *)
+      (** free-form narration, emitted via {!note} *)
 
 type record = { time : Ticks.t; event : event }
 
@@ -94,6 +94,15 @@ val enabled : t -> bool
 
 val emit : t -> time:Ticks.t -> event -> unit
 
+val note :
+  t ->
+  time:Ticks.t ->
+  source:string ->
+  ('a, Format.formatter, unit, unit) format4 ->
+  'a
+(** Emits a {!Note} with a formatted message; on {!null} the message is
+    never even formatted. *)
+
 val records : t -> record list
 (** Retained records, oldest first. *)
 
@@ -112,10 +121,14 @@ val event_source : event -> string
 (** Short component label ("n3", "net", "group", or the {!Note} source). *)
 
 val event_message : event -> string
-(** One-line human rendering (the {!Tracer} shim's message string). *)
+(** One-line human rendering. *)
 
 val pp_pdu : Format.formatter -> pdu -> unit
 val pp_record : Format.formatter -> record -> unit
+(** [\[time\] source message]. *)
+
+val dump : Format.formatter -> t -> unit
+(** Every retained record, one {!pp_record} line each. *)
 
 val json_of_record : record -> string
 (** One JSON object, no trailing newline.  Field order is fixed; see

@@ -6,31 +6,15 @@ type 'a delivery = {
 }
 
 type 'a t = {
-  n : int;
+  group : 'a Member.t Net.Group.t;
   net : 'a Total_wire.body Net.Netsim.t;
-  tracer : Sim.Tracer.t;
-  members : 'a Member.t array;
-  mutable round : int;
-  mutable started : bool;
-  mutable round_callbacks : (round:int -> unit) list;
+  tracer : Sim.Trace.t;
   mutable deliveries : 'a delivery list;
   mutable generations : (Causal.Mid.t * Sim.Ticks.t) list;
   mutable departures : (Net.Node_id.t * Member.reason * Sim.Ticks.t) list;
 }
 
-let engine t = Net.Netsim.engine t.net
-let now t = Sim.Engine.now (engine t)
-let crashed t node = Net.Fault.crashed (Net.Netsim.fault t.net) ~now:(now t) node
-
-let alive_dsts t member =
-  let d = Member.latest_decision member in
-  let self = Member.id member in
-  let dsts = ref [] in
-  for i = t.n - 1 downto 0 do
-    if d.Total_decision.alive.(i) && i <> Net.Node_id.to_int self then
-      dsts := Net.Node_id.of_int i :: !dsts
-  done;
-  !dsts
+let now t = Net.Group.now t.group
 
 let execute t member action =
   let self = Member.id member in
@@ -42,7 +26,8 @@ let execute t member action =
       | Total_wire.Request _ | Total_wire.Decision_pdu _
       | Total_wire.Recover_req _ | Total_wire.Recover_reply _ ->
           ());
-      Net.Netsim.multicast t.net ~src:self ~dsts:(alive_dsts t member)
+      let alive = (Member.latest_decision member).Total_decision.alive in
+      Net.Netsim.multicast t.net ~src:self ~dsts:(Net.Node_id.peers alive ~self)
         ~kind:(Total_wire.kind body) ~size:(Total_wire.body_size body) body
   | Member.Send (dst, body) ->
       Net.Netsim.send t.net ~src:self ~dst ~kind:(Total_wire.kind body)
@@ -51,102 +36,56 @@ let execute t member action =
       t.deliveries <- { node = self; seq; data; at = now t } :: t.deliveries
   | Member.Left why ->
       t.departures <- (self, why, now t) :: t.departures;
-      Sim.Tracer.emitf t.tracer ~time:(now t)
+      Sim.Trace.note t.tracer ~time:(now t)
         ~source:(Format.asprintf "%a" Net.Node_id.pp self)
         "left the group: %s"
         (Member.reason_to_string why)
 
 let execute_all t member actions = List.iter (execute t member) actions
 
-let create ?(tracer = Sim.Tracer.null) ?silence_limit ~n ~k ~net () =
+let create ?(tracer = Sim.Trace.null) ?silence_limit ~n ~k ~net () =
   let members =
     Array.init n (fun i -> Member.create ?silence_limit ~n ~k (Net.Node_id.of_int i))
   in
+  let group =
+    Net.Group.create ~engine:(Net.Netsim.engine net) ~fault:(Net.Netsim.fault net)
+      ~active:Member.active members
+  in
   let t =
-    {
-      n;
-      net;
-      tracer;
-      members;
-      round = 0;
-      started = false;
-      round_callbacks = [];
-      deliveries = [];
-      generations = [];
-      departures = [];
-    }
+    { group; net; tracer; deliveries = []; generations = []; departures = [] }
   in
   Array.iter
     (fun member ->
-      Net.Netsim.attach net (Member.id member)
-        (fun (packet : _ Net.Netsim.packet) ->
-          if not (crashed t (Member.id member)) then
+      let self = Member.id member in
+      Net.Netsim.attach net self (fun (packet : _ Net.Netsim.packet) ->
+          if not (Net.Group.crashed group self) then
             execute_all t member (Member.handle member packet.payload)))
     members;
   t
 
-let run_round t =
-  let subrun = t.round / 2 in
-  Array.iter
-    (fun member ->
-      if not (crashed t (Member.id member)) then
-        let actions =
-          if t.round mod 2 = 0 then Member.begin_subrun member ~subrun
-          else Member.mid_subrun member ~subrun
-        in
-        execute_all t member actions)
-    t.members;
-  t.round <- t.round + 1;
-  List.iter
-    (fun callback -> callback ~round:(t.round - 1))
-    (List.rev t.round_callbacks)
-
 let start t =
-  if t.started then invalid_arg "Cluster.start: already started";
-  t.started <- true;
-  let rec tick () =
-    run_round t;
-    ignore (Sim.Engine.schedule_after (engine t) ~delay:Sim.Ticks.round tick)
-  in
-  ignore (Sim.Engine.schedule_after (engine t) ~delay:Sim.Ticks.zero tick)
+  Net.Group.start t.group (fun round ->
+      let subrun = round / 2 in
+      Net.Group.iter_live t.group (fun member ->
+          execute_all t member
+            (if round mod 2 = 0 then Member.begin_subrun member ~subrun
+             else Member.mid_subrun member ~subrun)))
 
-let submit ?size t node payload =
-  Member.submit ?size t.members.(Net.Node_id.to_int node) payload
+let group t = t.group
 
-let member t node = t.members.(Net.Node_id.to_int node)
-let members t = Array.to_list t.members
-
-let on_round t callback = t.round_callbacks <- callback :: t.round_callbacks
-
+let member t node = Net.Group.member t.group node
+let submit ?size t node payload = Member.submit ?size (member t node) payload
+let members t = Net.Group.members t.group
+let on_round t callback = Net.Group.on_round t.group callback
 let deliveries t = List.rev t.deliveries
 let generations t = List.rev t.generations
 let departures t = List.rev t.departures
-let subrun t = t.round / 2
+let subrun t = Net.Group.subrun t.group
+let active_members t = Net.Group.active_members t.group
 
-let active_members t =
-  Array.to_list t.members
-  |> List.filter_map (fun member ->
-         let node = Member.id member in
-         if Member.active member && not (crashed t node) then Some node
-         else None)
-
-let quiescent t =
-  let actives =
-    Array.to_list t.members
-    |> List.filter (fun member ->
-           Member.active member && not (crashed t (Member.id member)))
-  in
-  match actives with
-  | [] -> true
-  | first :: rest ->
-      List.for_all
-        (fun member ->
-          Member.sap_backlog member = 0 && Member.pool_size member = 0)
-        actives
-      && List.for_all
-           (fun member ->
-             Member.processed_upto member = Member.processed_upto first)
-           rest
+let idle member = Member.sap_backlog member = 0 && Member.pool_size member = 0
+let agree first member = Member.processed_upto member = Member.processed_upto first
+let quiescent t = Net.Group.quiescent t.group ~idle ~agree
 
 let total_order_ok t =
   (* Rebuild each active process's processing log and compare: they must be

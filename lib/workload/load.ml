@@ -23,3 +23,35 @@ let pp ppf t =
        ~none:(fun ppf () -> Format.pp_print_string ppf "none")
        Format.pp_print_int)
     t.total_messages t.payload_size
+
+type injector = {
+  load : t;
+  rng : Sim.Rng.t;
+  active : Net.Node_id.t -> bool;
+  submit : Net.Node_id.t -> int -> unit;
+  senders : Net.Node_id.t list;
+  mutable produced : int;
+}
+
+let injector (load : t) ~rng group ~submit =
+  let senders =
+    match load.senders with
+    | Some senders -> senders
+    | None -> Net.Node_id.group (Net.Group.size group)
+  in
+  { load; rng; active = Net.Group.active group; submit; senders; produced = 0 }
+
+let cap_reached i =
+  match i.load.total_messages with None -> false | Some cap -> i.produced >= cap
+
+let rec inject_from i = function
+  | [] -> ()
+  | node :: rest ->
+      if (not (cap_reached i)) && Sim.Rng.bool i.rng i.load.rate && i.active node
+      then begin
+        i.produced <- i.produced + 1;
+        i.submit node i.produced
+      end;
+      inject_from i rest
+
+let inject i ~round:_ = inject_from i i.senders

@@ -36,3 +36,28 @@ val make :
     Raises [Invalid_argument] if [rate] is outside [0, 1]. *)
 
 val pp : Format.formatter -> t -> unit
+
+(** {2 Injection} *)
+
+type injector
+(** The load model bound to a group: one Bernoulli draw per sender per
+    round, counting the messages produced against the cap. *)
+
+val injector :
+  t ->
+  rng:Sim.Rng.t ->
+  'm Net.Group.t ->
+  submit:(Net.Node_id.t -> int -> unit) ->
+  injector
+(** [submit node id] hands message number [id] (1, 2, ...) to the
+    protocol at [node]. *)
+
+val inject : injector -> round:int -> unit
+(** One round of load, meant for the cluster's [on_round].  For each sender
+    in turn: stop drawing once the cap is reached, draw
+    [Sim.Rng.bool rng rate], skip the sender if the group no longer counts
+    it active ({!Net.Group.active}), otherwise submit the next id.  A
+    skipped sender has consumed its draw but no id, so it does not count
+    toward the cap. *)
+
+val cap_reached : injector -> bool

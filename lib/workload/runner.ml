@@ -22,26 +22,13 @@ type report = {
   verdict : Checker.verdict;
 }
 
-(* Workload injection: fires after every round, submits according to the load
-   model, and reports whether the global cap has been reached. *)
+(* The scenario's load, submitted with urcgc's payload size and explicit
+   dependency labelling. *)
 let make_injector (scenario : Scenario.t) cluster rng =
   let load = scenario.load in
   (* Over the codec boundary the int payloads encode to exactly 8 bytes, and
      the codec refuses size lies. *)
-  let payload_size =
-    if scenario.codec_boundary then 8 else load.Load.payload_size
-  in
-  let senders =
-    match load.Load.senders with
-    | Some senders -> senders
-    | None -> Net.Node_id.group scenario.config.Urcgc.Config.n
-  in
-  let produced = ref 0 in
-  let cap_reached () =
-    match load.Load.total_messages with
-    | None -> false
-    | Some cap -> !produced >= cap
-  in
+  let size = if scenario.codec_boundary then 8 else load.Load.payload_size in
   let deps_for node =
     match load.Load.deps_mode with
     | Load.Frontier -> None
@@ -60,22 +47,8 @@ let make_injector (scenario : Scenario.t) cluster rng =
         done;
         Some !deps
   in
-  let inject ~round:_ =
-    if !Sim.Prof.on then Sim.Prof.enter "runner.inject";
-    List.iter
-      (fun node ->
-        if (not (cap_reached ())) && Sim.Rng.bool rng load.Load.rate then begin
-          let member = Urcgc.Cluster.member cluster node in
-          if Urcgc.Member.active member then begin
-            incr produced;
-            Urcgc.Cluster.submit ?deps:(deps_for node) ~size:payload_size
-              cluster node !produced
-          end
-        end)
-      senders;
-    if !Sim.Prof.on then Sim.Prof.exit ()
-  in
-  (inject, cap_reached, produced)
+  Load.injector load ~rng (Urcgc.Cluster.group cluster) ~submit:(fun node id ->
+      Urcgc.Cluster.submit ?deps:(deps_for node) ~size cluster node id)
 
 let run ?tracer ?(metrics = Sim.Metrics.null) (scenario : Scenario.t) =
   let engine = Sim.Engine.create () in
@@ -143,8 +116,11 @@ let run ?tracer ?(metrics = Sim.Metrics.null) (scenario : Scenario.t) =
   let cluster =
     Urcgc.Cluster.create_with_medium ?tracer ~config:scenario.config ~medium ()
   in
-  let inject, cap_reached, _produced = make_injector scenario cluster rng in
-  Urcgc.Cluster.on_round cluster inject;
+  let injector = make_injector scenario cluster rng in
+  Urcgc.Cluster.on_round cluster (fun ~round ->
+      if !Sim.Prof.on then Sim.Prof.enter "runner.inject";
+      Load.inject injector ~round;
+      if !Sim.Prof.on then Sim.Prof.exit ());
   (* Sampling: per-round maxima of history and waiting-list lengths. *)
   let history_series = ref [] in
   let history_peak = ref 0 in
@@ -172,23 +148,12 @@ let run ?tracer ?(metrics = Sim.Metrics.null) (scenario : Scenario.t) =
       end;
       if !Sim.Prof.on then Sim.Prof.exit ());
   Urcgc.Cluster.start cluster;
-  (* Advance one rtd at a time until the workload is exhausted and the group
-     is quiescent, or the time cap is hit. *)
-  let max_ticks = Sim.Ticks.of_rtd scenario.max_rtd in
-  let rtd = Sim.Ticks.of_int Sim.Ticks.per_rtd in
-  let rec advance () =
-    let now = Sim.Engine.now engine in
-    if Sim.Ticks.(now >= max_ticks) then ()
-    else begin
-      let target = Sim.Ticks.add now rtd in
-      let target = if Sim.Ticks.(max_ticks < target) then max_ticks else target in
-      Sim.Engine.run engine ~until:target;
-      if cap_reached () && Urcgc.Cluster.quiescent cluster then ()
-      else advance ()
-    end
-  in
+  (* Run until the workload is exhausted and the group is quiescent, or the
+     time cap is hit. *)
   if !Sim.Prof.on then Sim.Prof.enter "runner.run";
-  advance ();
+  Net.Group.run (Urcgc.Cluster.group cluster) ~max_rtd:scenario.max_rtd
+    ~until:(fun () ->
+      Load.cap_reached injector && Urcgc.Cluster.quiescent cluster);
   if !Sim.Prof.on then Sim.Prof.exit ();
   (* Reduce the event log to the report. *)
   if !Sim.Prof.on then Sim.Prof.enter "runner.reduce";

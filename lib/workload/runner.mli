@@ -31,7 +31,7 @@ type report = {
   verdict : Checker.verdict;
 }
 
-val run : ?tracer:Sim.Tracer.t -> ?metrics:Sim.Metrics.t -> Scenario.t -> report
+val run : ?tracer:Sim.Trace.t -> ?metrics:Sim.Metrics.t -> Scenario.t -> report
 (** [tracer] collects the typed protocol events (including network drops and
     the fail-stop schedule); [metrics] (default {!Sim.Metrics.null}) is
     populated with the run's counters, per-round depth gauges, and the

@@ -88,29 +88,11 @@ let run ?tracer ?(name = "cbcast") ~n ~k ~load ~fault ~seed ~max_rtd () =
   let cluster =
     Cbcast.Cluster.create ?tracer ~n ~k ~engine ~fault ~rng:(Sim.Rng.split rng) ()
   in
-  let senders =
-    match load.Load.senders with
-    | Some senders -> senders
-    | None -> Net.Node_id.group n
+  let injector =
+    Load.injector load ~rng (Cbcast.Cluster.group cluster) ~submit:(fun node id ->
+        Cbcast.Cluster.submit ~size:load.Load.payload_size cluster node id)
   in
-  let produced = ref 0 in
-  let cap_reached () =
-    match load.Load.total_messages with
-    | None -> false
-    | Some cap -> !produced >= cap
-  in
-  Cbcast.Cluster.on_round cluster (fun ~round:_ ->
-      List.iter
-        (fun node ->
-          if (not (cap_reached ())) && Sim.Rng.bool rng load.Load.rate then begin
-            let member = Cbcast.Cluster.member cluster node in
-            if Cbcast.Member.active member then begin
-              incr produced;
-              Cbcast.Cluster.submit ~size:load.Load.payload_size cluster node
-                !produced
-            end
-          end)
-        senders);
+  Cbcast.Cluster.on_round cluster (Load.inject injector);
   let unstable_peak = ref 0 in
   Cbcast.Cluster.on_round cluster (fun ~round:_ ->
       List.iter
@@ -119,20 +101,8 @@ let run ?tracer ?(name = "cbcast") ~n ~k ~load ~fault ~seed ~max_rtd () =
             unstable_peak := max !unstable_peak (Cbcast.Member.unstable member))
         (Cbcast.Cluster.members cluster));
   Cbcast.Cluster.start cluster;
-  let max_ticks = Sim.Ticks.of_rtd max_rtd in
-  let rtd = Sim.Ticks.of_int Sim.Ticks.per_rtd in
-  let rec advance () =
-    let now = Sim.Engine.now engine in
-    if Sim.Ticks.(now >= max_ticks) then ()
-    else begin
-      let target = Sim.Ticks.add now rtd in
-      let target = if Sim.Ticks.(max_ticks < target) then max_ticks else target in
-      Sim.Engine.run engine ~until:target;
-      if cap_reached () && Cbcast.Cluster.quiescent cluster then ()
-      else advance ()
-    end
-  in
-  advance ();
+  Net.Group.run (Cbcast.Cluster.group cluster) ~max_rtd ~until:(fun () ->
+      Load.cap_reached injector && Cbcast.Cluster.quiescent cluster);
   let deliveries = Cbcast.Cluster.deliveries cluster in
   let generations = Cbcast.Cluster.generations cluster in
   let sent_at = Hashtbl.create 256 in

@@ -25,7 +25,7 @@ type report = {
 }
 
 val run :
-  ?tracer:Sim.Tracer.t ->
+  ?tracer:Sim.Trace.t ->
   ?name:string ->
   n:int ->
   k:int ->

@@ -46,29 +46,11 @@ let run ?tracer ?(name = "psync") ?pending_bound ~n ~k ~load ~fault ~seed
   let fault = Net.Fault.create fault ~rng:(Sim.Rng.split rng) in
   let net = Net.Netsim.create engine ~fault ~rng:(Sim.Rng.split rng) () in
   let cluster = Psync.Cluster.create ?tracer ?pending_bound ~n ~k ~net () in
-  let senders =
-    match load.Load.senders with
-    | Some senders -> senders
-    | None -> Net.Node_id.group n
+  let injector =
+    Load.injector load ~rng (Psync.Cluster.group cluster) ~submit:(fun node id ->
+        Psync.Cluster.submit ~size:load.Load.payload_size cluster node id)
   in
-  let produced = ref 0 in
-  let cap_reached () =
-    match load.Load.total_messages with
-    | None -> false
-    | Some cap -> !produced >= cap
-  in
-  Psync.Cluster.on_round cluster (fun ~round:_ ->
-      List.iter
-        (fun node ->
-          if (not (cap_reached ())) && Sim.Rng.bool rng load.Load.rate then begin
-            let member = Psync.Cluster.member cluster node in
-            if Psync.Member.active member then begin
-              incr produced;
-              Psync.Cluster.submit ~size:load.Load.payload_size cluster node
-                !produced
-            end
-          end)
-        senders);
+  Psync.Cluster.on_round cluster (Load.inject injector);
   let pending_peak = ref 0 in
   Psync.Cluster.on_round cluster (fun ~round:_ ->
       List.iter
@@ -77,20 +59,8 @@ let run ?tracer ?(name = "psync") ?pending_bound ~n ~k ~load ~fault ~seed
             pending_peak := max !pending_peak (Psync.Member.pending member))
         (Psync.Cluster.members cluster));
   Psync.Cluster.start cluster;
-  let max_ticks = Sim.Ticks.of_rtd max_rtd in
-  let rtd = Sim.Ticks.of_int Sim.Ticks.per_rtd in
-  let rec advance () =
-    let now = Sim.Engine.now engine in
-    if Sim.Ticks.(now >= max_ticks) then ()
-    else begin
-      let target = Sim.Ticks.add now rtd in
-      let target = if Sim.Ticks.(max_ticks < target) then max_ticks else target in
-      Sim.Engine.run engine ~until:target;
-      if cap_reached () && Psync.Cluster.quiescent cluster then ()
-      else advance ()
-    end
-  in
-  advance ();
+  Net.Group.run (Psync.Cluster.group cluster) ~max_rtd ~until:(fun () ->
+      Load.cap_reached injector && Psync.Cluster.quiescent cluster);
   let deliveries = Psync.Cluster.deliveries cluster in
   let sent_at = Hashtbl.create 256 in
   List.iter

@@ -18,7 +18,7 @@ type report = {
 }
 
 val run :
-  ?tracer:Sim.Tracer.t ->
+  ?tracer:Sim.Trace.t ->
   ?name:string ->
   ?pending_bound:int ->
   n:int ->

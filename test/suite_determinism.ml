@@ -110,14 +110,14 @@ let cbcast_order_property =
 let tracer_tests =
   [
     Alcotest.test_case "dump renders every retained event" `Quick (fun () ->
-        let tracer = Sim.Tracer.create () in
-        Sim.Tracer.emit tracer ~time:(Sim.Ticks.of_int 5) ~source:"p0" "one";
-        Sim.Tracer.emit tracer ~time:(Sim.Ticks.of_int 6) ~source:"p1" "two";
-        let out = Format.asprintf "%a" Sim.Tracer.dump tracer in
-        Alcotest.(check bool) "has one" true (Astring_contains.contains out "one");
-        Alcotest.(check bool) "has two" true (Astring_contains.contains out "two");
-        Alcotest.(check bool) "has source" true
-          (Astring_contains.contains out "p1"));
+        let tracer = Sim.Trace.create () in
+        Sim.Trace.note tracer ~time:(Sim.Ticks.of_int 5) ~source:"p0" "one";
+        Sim.Trace.emit tracer ~time:(Sim.Ticks.of_int 250)
+          (Sim.Trace.Crash { node = 1 });
+        Alcotest.(check string)
+          "one line per record" "[0.05rtd] p0           one\n\
+                                 [2.50rtd] n1           fail-stop of n1\n"
+          (Format.asprintf "%a" Sim.Trace.dump tracer));
   ]
 
 let suite =

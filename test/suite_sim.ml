@@ -394,40 +394,47 @@ let engine_tests =
         Alcotest.(check bool) "empty" false (Sim.Engine.step engine));
   ]
 
+(* Free-form narration goes into the typed trace as Note events. *)
+let message (r : Sim.Trace.record) = Sim.Trace.event_message r.Sim.Trace.event
+
 let tracer_tests =
   [
     Alcotest.test_case "emit and read back" `Quick (fun () ->
-        let tracer = Sim.Tracer.create () in
-        Sim.Tracer.emit tracer ~time:(Sim.Ticks.of_int 5) ~source:"p0" "hello";
-        Sim.Tracer.emitf tracer ~time:(Sim.Ticks.of_int 6) ~source:"p1" "%d+%d"
+        let tracer = Sim.Trace.create () in
+        Sim.Trace.note tracer ~time:(Sim.Ticks.of_int 5) ~source:"p0" "hello";
+        Sim.Trace.note tracer ~time:(Sim.Ticks.of_int 6) ~source:"p1" "%d+%d"
           1 2;
-        let events = Sim.Tracer.events tracer in
-        Alcotest.(check int) "2 events" 2 (List.length events);
-        Alcotest.(check string) "fmt" "1+2"
-          (List.nth events 1).Sim.Tracer.message);
+        let records = Sim.Trace.records tracer in
+        Alcotest.(check int) "2 events" 2 (List.length records);
+        Alcotest.(check string) "fmt" "1+2" (message (List.nth records 1));
+        Alcotest.(check string)
+          "source" "p1"
+          (Sim.Trace.event_source (List.nth records 1).Sim.Trace.event));
     Alcotest.test_case "capacity bounds retention" `Quick (fun () ->
-        let tracer = Sim.Tracer.create ~capacity:3 () in
+        let tracer = Sim.Trace.create ~capacity:3 () in
         for i = 1 to 10 do
-          Sim.Tracer.emit tracer ~time:(Sim.Ticks.of_int i) ~source:"s"
-            (string_of_int i)
+          Sim.Trace.note tracer ~time:(Sim.Ticks.of_int i) ~source:"s" "%d" i
         done;
-        let events = Sim.Tracer.events tracer in
-        Alcotest.(check int) "3 retained" 3 (List.length events);
-        Alcotest.(check int) "10 total" 10 (Sim.Tracer.count tracer);
-        Alcotest.(check string) "oldest dropped" "8"
-          (List.hd events).Sim.Tracer.message);
+        let records = Sim.Trace.records tracer in
+        Alcotest.(check int) "3 retained" 3 (List.length records);
+        Alcotest.(check int) "10 total" 10 (Sim.Trace.count tracer);
+        Alcotest.(check string) "oldest dropped" "8" (message (List.hd records)));
     Alcotest.test_case "null tracer discards" `Quick (fun () ->
-        Sim.Tracer.emit Sim.Tracer.null ~time:Sim.Ticks.zero ~source:"s" "x";
-        Alcotest.(check int) "nothing" 0 (Sim.Tracer.count Sim.Tracer.null));
+        (* The message is never formatted: the printer would fail. *)
+        let never _ _ = Alcotest.fail "formatted a note on the null sink" in
+        Sim.Trace.note Sim.Trace.null ~time:Sim.Ticks.zero ~source:"s" "%a-%d"
+          never () 3;
+        Alcotest.(check int) "nothing" 0 (Sim.Trace.count Sim.Trace.null));
     Alcotest.test_case "find" `Quick (fun () ->
-        let tracer = Sim.Tracer.create () in
-        Sim.Tracer.emit tracer ~time:Sim.Ticks.zero ~source:"a" "one";
-        Sim.Tracer.emit tracer ~time:Sim.Ticks.zero ~source:"b" "two";
+        let tracer = Sim.Trace.create () in
+        Sim.Trace.note tracer ~time:Sim.Ticks.zero ~source:"a" "one";
+        Sim.Trace.note tracer ~time:Sim.Ticks.zero ~source:"b" "two";
         let found =
-          Sim.Tracer.find tracer ~f:(fun e -> e.Sim.Tracer.source = "b")
+          Sim.Trace.find tracer ~f:(fun r ->
+              Sim.Trace.event_source r.Sim.Trace.event = "b")
         in
         Alcotest.(check (option string)) "two" (Some "two")
-          (Option.map (fun e -> e.Sim.Tracer.message) found));
+          (Option.map message found));
   ]
 
 let suite =

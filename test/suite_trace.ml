@@ -1,9 +1,7 @@
 (* The typed observability layer: sink semantics (ring buffer, stateless
    null), the deterministic JSONL export (golden fixed-seed run, byte
-   identity across runs), the Tracer string shim, and the Metrics
-   registry. *)
+   identity across runs), the human rendering, and the Metrics registry. *)
 
-let t0 = Sim.Ticks.of_int 0
 let at n = Sim.Ticks.of_int n
 let note ?(source = "test") message = Sim.Trace.Note { source; message }
 
@@ -135,7 +133,7 @@ let sink_tests =
           "unknown stage rejected" true
           (Sim.Trace.stage_of_string "wire" = None));
     Alcotest.test_case "null retains nothing, ever" `Quick (fun () ->
-        (* Regression: Tracer.null used to be a shared mutable record, so
+        (* Regression: the null sink used to be a shared mutable record, so
            every user of the "disabled" tracer aliased one global queue.
            The null sink is now a stateless constructor: emitting to it
            cannot retain, and no two uses can observe each other. *)
@@ -150,41 +148,17 @@ let sink_tests =
         Alcotest.(check bool)
           "find sees nothing" true
           (Sim.Trace.find null_a ~f:(fun _ -> true) = None));
-    Alcotest.test_case "tracer shim null never retains either" `Quick (fun () ->
-        Sim.Tracer.emit Sim.Tracer.null ~time:t0 ~source:"x" "dropped";
-        Sim.Tracer.emitf Sim.Tracer.null ~time:t0 ~source:"x" "%d-%s" 3 "y";
-        Alcotest.(check int) "count" 0 (Sim.Tracer.count Sim.Tracer.null);
-        Alcotest.(check bool)
-          "events empty" true
-          (Sim.Tracer.events Sim.Tracer.null = []));
-    Alcotest.test_case "shim round-trips strings through Note events" `Quick
+    Alcotest.test_case "typed events render as source and message" `Quick
       (fun () ->
-        let t = Sim.Tracer.create () in
-        Sim.Tracer.emit t ~time:(at 7) ~source:"n3" "hello";
-        Sim.Tracer.emitf t ~time:(at 8) ~source:"net" "x=%d" 42;
-        match Sim.Tracer.events t with
-        | [ a; b ] ->
-            Alcotest.(check string) "source a" "n3" a.Sim.Tracer.source;
-            Alcotest.(check string) "message a" "hello" a.Sim.Tracer.message;
-            Alcotest.(check string) "message b" "x=42" b.Sim.Tracer.message
-        | events ->
-            Alcotest.failf "expected 2 events, got %d" (List.length events));
-    Alcotest.test_case "shim renders typed events as strings" `Quick (fun () ->
-        let t = Sim.Trace.create () in
-        Sim.Trace.emit t ~time:(at 5)
-          (Sim.Trace.Deliver { node = 2; mid = { origin = 1; seq = 4 } });
-        Sim.Trace.emit t ~time:(at 6)
-          (Sim.Trace.Rotate { subrun = 3; coordinator = 1 });
-        match Sim.Tracer.events t with
-        | [ d; r ] ->
-            Alcotest.(check string) "deliver source" "n2" d.Sim.Tracer.source;
-            Alcotest.(check string)
-              "deliver message" "processed n1#4" d.Sim.Tracer.message;
-            Alcotest.(check string) "rotate source" "group" r.Sim.Tracer.source;
-            Alcotest.(check string)
-              "rotate message" "subrun 3 coordinator is n1" r.Sim.Tracer.message
-        | events ->
-            Alcotest.failf "expected 2 events, got %d" (List.length events));
+        let d = Sim.Trace.Deliver { node = 2; mid = { origin = 1; seq = 4 } } in
+        let r = Sim.Trace.Rotate { subrun = 3; coordinator = 1 } in
+        Alcotest.(check string) "deliver source" "n2" (Sim.Trace.event_source d);
+        Alcotest.(check string)
+          "deliver message" "processed n1#4" (Sim.Trace.event_message d);
+        Alcotest.(check string) "rotate source" "group" (Sim.Trace.event_source r);
+        Alcotest.(check string)
+          "rotate message" "subrun 3 coordinator is n1"
+          (Sim.Trace.event_message r));
   ]
 
 let jsonl_tests =

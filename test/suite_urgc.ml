@@ -103,28 +103,15 @@ let run_urgc ?(n = 6) ?(k = 3) ?(rate = 0.5) ?(messages = 50)
   let fault = Net.Fault.create fault ~rng:(Sim.Rng.split rng) in
   let net = Net.Netsim.create engine ~fault ~rng:(Sim.Rng.split rng) () in
   let cluster = Urgc.Cluster.create ~n ~k ~net () in
-  let produced = ref 0 in
-  Urgc.Cluster.on_round cluster (fun ~round:_ ->
-      List.iter
-        (fun node ->
-          if !produced < messages && Sim.Rng.bool rng rate then begin
-            incr produced;
-            Urgc.Cluster.submit cluster node !produced
-          end)
-        (Net.Node_id.group n));
-  Urgc.Cluster.start cluster;
-  let max_ticks = Sim.Ticks.of_rtd max_rtd in
-  let rtd = Sim.Ticks.of_int Sim.Ticks.per_rtd in
-  let rec advance () =
-    let now = Sim.Engine.now engine in
-    if Sim.Ticks.(now >= max_ticks) then ()
-    else begin
-      Sim.Engine.run engine ~until:(Sim.Ticks.add now rtd);
-      if !produced >= messages && Urgc.Cluster.quiescent cluster then ()
-      else advance ()
-    end
+  let load = Workload.Load.make ~rate ~total_messages:messages () in
+  let injector =
+    Workload.Load.injector load ~rng (Urgc.Cluster.group cluster)
+      ~submit:(fun node id -> Urgc.Cluster.submit cluster node id)
   in
-  advance ();
+  Urgc.Cluster.on_round cluster (Workload.Load.inject injector);
+  Urgc.Cluster.start cluster;
+  Net.Group.run (Urgc.Cluster.group cluster) ~max_rtd ~until:(fun () ->
+      Workload.Load.cap_reached injector && Urgc.Cluster.quiescent cluster);
   (engine, cluster)
 
 let crash_spec crashes =
