@@ -8,8 +8,10 @@
    Structure-level scenarios (waiting-list drain, frontier-dependency
    drain at n = 40, discard cascade, history store+purge, history range)
    are sized to expose super-linear behaviour — a quadratic waiting-list
-   scan is ~100x slower at W = 2048 — plus a full simulated subrun at n in
-   {8, 15, 40, 128, 256, 512} as the end-to-end sanity point.  Every sample
+   scan is ~100x slower at W = 2048 — plus the packet path (a delivered
+   15-copy multicast, an n = 40 request encoded and decoded) and a full
+   simulated subrun at n in {8, 15, 40, 128, 256, 512} as the end-to-end
+   sanity point.  Every sample
    reports wall-clock and all words allocated per logical operation (aw/op,
    see [alloc_words]), so allocation regressions surface alongside time.
 
@@ -211,6 +213,57 @@ let subrun ~n () =
   Urcgc.Cluster.start cluster;
   Sim.Engine.run engine ~until:(Sim.Ticks.of_int Sim.Ticks.per_rtd)
 
+(* One [n]-copy multicast to payload handlers, delivered, per op, on a
+   network whose bucket table warm-up has already grown. *)
+let netsim_multicast ~n ~sends =
+  let engine = Sim.Engine.create () in
+  let rng = Sim.Rng.create ~seed:1 in
+  let fault = Net.Fault.create Net.Fault.reliable ~rng:(Sim.Rng.split rng) in
+  let net = Net.Netsim.create engine ~fault ~rng:(Sim.Rng.split rng) () in
+  let dsts = Array.init n Net.Node_id.of_int in
+  let received = ref 0 in
+  Array.iter
+    (fun dst -> Net.Netsim.attach_payload net dst (fun () -> incr received))
+    dsts;
+  fun () ->
+    received := 0;
+    for i = 1 to sends do
+      Net.Netsim.multicast_array net ~src:dsts.(i mod n) ~dsts
+        ~kind:Net.Traffic.Control ~size:64 ();
+      while Sim.Engine.step engine do
+        ()
+      done
+    done;
+    if !received <> sends * n then failwith "hotpath: netsim lost a copy"
+
+(* One encode plus decode of an n = 40 request, the PDU that carries a
+   piggybacked decision, through a pooled writer as [Urcgc.Medium] does. *)
+let codec_request ~n =
+  let node = Net.Node_id.of_int in
+  let decision = Urcgc.Decision.initial ~n in
+  let body =
+    Urcgc.Wire.Request
+      {
+        sender = node 3;
+        subrun = 17;
+        last_processed = Array.init n (fun i -> 100 + i);
+        waiting =
+          Array.init n (fun i ->
+              if i mod 8 = 0 then
+                Some (Causal.Mid.make ~origin:(node i) ~seq:(102 + i))
+              else None);
+        prev_decision =
+          { decision with stable = Array.init n (fun i -> 90 + i) };
+      }
+  in
+  let writer = Net.Bytebuf.Writer.create () in
+  let payload = Urcgc.Wire_codec.string_payload in
+  fun () ->
+    let raw = Urcgc.Wire_codec.encode_body_into writer payload body in
+    match Urcgc.Wire_codec.decode_body payload ~n raw with
+    | Ok _ -> ()
+    | Error e -> failwith ("hotpath: codec_request: " ^ e)
+
 let run_all ~quick =
   let m = measure ~quick in
   [
@@ -226,6 +279,14 @@ let run_all ~quick =
       (history_store_purge ~w:2048);
     m ~name:"history_range_w2048" ~ops:(8 * 1025) (history_range ~w:2048);
     m ~name:"oldest_vector_w512" ~ops:64 (oldest_vector ~w:512 ~calls:64);
+    m ~name:"netsim_multicast_n15" ~ops:1000
+      (netsim_multicast ~n:15 ~sends:1000);
+    m ~name:"codec_request_n40" ~ops:100
+      (let once = codec_request ~n:40 in
+       fun () ->
+         for _ = 1 to 100 do
+           once ()
+         done);
     m ~name:"subrun_n8" ~ops:8 (subrun ~n:8);
     m ~name:"subrun_n15" ~ops:15 (subrun ~n:15);
     m ~name:"subrun_n40" ~ops:40 (subrun ~n:40);

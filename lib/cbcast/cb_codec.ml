@@ -1,8 +1,6 @@
 module W = Net.Bytebuf.Writer
 module R = Net.Bytebuf.Reader
 
-let ( let* ) = Net.Bytebuf.( let* )
-
 let tag_data = 1
 let tag_heartbeat = 2
 let tag_token = 3
@@ -14,14 +12,7 @@ let tag_new_view = 8
 
 let write_vclock w vt = Array.iter (W.u32 w) (Vclock.to_array vt)
 
-let read_vclock ~n r =
-  let rec loop k acc =
-    if k = 0 then Ok (Vclock.of_array (Array.of_list (List.rev acc)))
-    else
-      let* v = R.u32 r in
-      loop (k - 1) (v :: acc)
-  in
-  loop n []
+let read_vclock ~n r = Vclock.of_array (R.array r n R.u32)
 
 (* Data: tag u8 | sender u24 | view u32 | vt | payload-to-end. *)
 let write_data_fields payload w (d : 'a Cb_wire.data) =
@@ -32,19 +23,18 @@ let write_data_fields payload w (d : 'a Cb_wire.data) =
   W.bytes w (payload.Net.Bytebuf.encode d.payload)
 
 let read_data_fields payload ~n ~payload_len r =
-  let* sender = R.u24 r in
-  let* view_id = R.u32 r in
-  let* vt = read_vclock ~n r in
-  let* raw = R.bytes r payload_len in
-  let* value = payload.Net.Bytebuf.decode raw in
-  Ok
-    {
-      Cb_wire.sender = Net.Node_id.of_int sender;
-      view_id;
-      vt;
-      payload = value;
-      payload_size = payload_len;
-    }
+  let sender = R.u24 r in
+  let view_id = R.u32 r in
+  let vt = read_vclock ~n r in
+  let raw = R.bytes r payload_len in
+  let value = R.of_result (payload.Net.Bytebuf.decode raw) in
+  {
+    Cb_wire.sender = Net.Node_id.of_int sender;
+    view_id;
+    vt;
+    payload = value;
+    payload_size = payload_len;
+  }
 
 (* Inner retransmitted messages: count u16, then (length u16 | data). *)
 let write_msgs payload w msgs =
@@ -56,19 +46,18 @@ let write_msgs payload w msgs =
     msgs
 
 let read_msgs payload ~n r =
-  let* count = R.u16 r in
+  let count = R.u16 r in
   let rec loop k acc =
-    if k = 0 then Ok (List.rev acc)
+    if k = 0 then List.rev acc
     else
-      let* len = R.u16 r in
-      let* tag = R.u8 r in
-      if tag <> tag_data then Error "flush: expected a data message"
+      let len = R.u16 r in
+      if R.u8 r <> tag_data then R.fail "flush: expected a data message"
       else begin
         (* data_size = 8 + 4n + payload *)
         let payload_len = len - 8 - (4 * n) in
-        if payload_len < 0 then Error "flush: message length too small"
+        if payload_len < 0 then R.fail "flush: message length too small"
         else
-          let* d = read_data_fields payload ~n ~payload_len r in
+          let d = read_data_fields payload ~n ~payload_len r in
           loop (k - 1) (d :: acc)
       end
   in
@@ -90,13 +79,13 @@ let write_flush_header w ~tag ~who ~view_id ~members =
 
 let read_flush_header ~n r =
   (* tag already consumed *)
-  let* who = R.u24 r in
-  let* view_id = R.u32 r in
-  let* members = R.bitmap r n in
+  let who = R.u24 r in
+  let view_id = R.u32 r in
+  let members = R.bitmap r n in
   let consumed = 8 + ((n + 7) / 8) in
   let pad = flush_header_size n - consumed in
-  let* _padding = R.bytes r (max 0 pad) in
-  Ok (who, view_id, members)
+  let _padding = R.bytes r (max 0 pad) in
+  (who, view_id, members)
 
 let encode_body payload body =
   let w = W.create () in
@@ -141,65 +130,50 @@ let encode_body payload body =
   raw
 
 let decode_body payload ~n raw =
-  let r = R.of_bytes raw in
-  let* tag = R.u8 r in
-  if tag = tag_data then begin
-    let payload_len = Bytes.length raw - 8 - (4 * n) in
-    if payload_len < 0 then Error "data: too short"
-    else
-      let* d = read_data_fields payload ~n ~payload_len r in
-      let* () = R.expect_end r in
-      Ok (Cb_wire.Data d)
-  end
-  else if tag = tag_heartbeat then begin
-    let* _pad = R.u24 r in
-    let* vt = read_vclock ~n r in
-    let* () = R.expect_end r in
-    Ok (Cb_wire.Heartbeat { vt })
-  end
-  else if tag = tag_token then begin
-    let* initiator = R.u24 r in
-    let* acc = read_vclock ~n r in
-    let* () = R.expect_end r in
-    Ok (Cb_wire.Token { initiator = Net.Node_id.of_int initiator; acc })
-  end
-  else if tag = tag_stability then begin
-    let* _pad = R.u24 r in
-    let* vt = read_vclock ~n r in
-    let* () = R.expect_end r in
-    Ok (Cb_wire.Stability { vt })
-  end
-  else if tag = tag_suspect then begin
-    let* reporter = R.u24 r in
-    let* suspect = R.u32 r in
-    let* () = R.expect_end r in
-    Ok
-      (Cb_wire.Suspect
-         {
-           suspect = Net.Node_id.of_int suspect;
-           reporter = Net.Node_id.of_int reporter;
-         })
-  end
-  else if tag = tag_flush_req then begin
-    let* who, view_id, members = read_flush_header ~n r in
-    let* () = R.expect_end r in
-    Ok
-      (Cb_wire.Flush_req
-         { view_id; members; coordinator = Net.Node_id.of_int who })
-  end
-  else if tag = tag_flush_unstable then begin
-    let* sender = R.u24 r in
-    let* view_id = R.u32 r in
-    let* msgs = read_msgs payload ~n r in
-    let* () = R.expect_end r in
-    Ok
-      (Cb_wire.Flush_unstable
-         { view_id; sender = Net.Node_id.of_int sender; msgs })
-  end
-  else if tag = tag_new_view then begin
-    let* _who, view_id, members = read_flush_header ~n r in
-    let* retransmit = read_msgs payload ~n r in
-    let* () = R.expect_end r in
-    Ok (Cb_wire.New_view { view_id; members; retransmit })
-  end
-  else Error (Printf.sprintf "unknown cbcast tag %d" tag)
+  R.decode raw (fun r ->
+      let tag = R.u8 r in
+      if tag = tag_data then begin
+        let payload_len = Bytes.length raw - 8 - (4 * n) in
+        if payload_len < 0 then R.fail "data: too short"
+        else Cb_wire.Data (read_data_fields payload ~n ~payload_len r)
+      end
+      else if tag = tag_heartbeat then begin
+        let _pad = R.u24 r in
+        Cb_wire.Heartbeat { vt = read_vclock ~n r }
+      end
+      else if tag = tag_token then begin
+        let initiator = R.u24 r in
+        let acc = read_vclock ~n r in
+        Cb_wire.Token { initiator = Net.Node_id.of_int initiator; acc }
+      end
+      else if tag = tag_stability then begin
+        let _pad = R.u24 r in
+        Cb_wire.Stability { vt = read_vclock ~n r }
+      end
+      else if tag = tag_suspect then begin
+        let reporter = R.u24 r in
+        let suspect = R.u32 r in
+        Cb_wire.Suspect
+          {
+            suspect = Net.Node_id.of_int suspect;
+            reporter = Net.Node_id.of_int reporter;
+          }
+      end
+      else if tag = tag_flush_req then begin
+        let who, view_id, members = read_flush_header ~n r in
+        Cb_wire.Flush_req
+          { view_id; members; coordinator = Net.Node_id.of_int who }
+      end
+      else if tag = tag_flush_unstable then begin
+        let sender = R.u24 r in
+        let view_id = R.u32 r in
+        let msgs = read_msgs payload ~n r in
+        Cb_wire.Flush_unstable
+          { view_id; sender = Net.Node_id.of_int sender; msgs }
+      end
+      else if tag = tag_new_view then begin
+        let _who, view_id, members = read_flush_header ~n r in
+        let retransmit = read_msgs payload ~n r in
+        Cb_wire.New_view { view_id; members; retransmit }
+      end
+      else R.fail (Printf.sprintf "unknown cbcast tag %d" tag))

@@ -1,8 +1,6 @@
 module W = Net.Bytebuf.Writer
 module R = Net.Bytebuf.Reader
 
-let ( let* ) = Net.Bytebuf.( let* )
-
 type 'a payload = 'a Net.Bytebuf.codec = {
   encode : 'a -> bytes;
   decode : bytes -> ('a, string) result;
@@ -27,27 +25,17 @@ let write_mid w mid =
   W.u32 w (Causal.Mid.seq mid)
 
 let read_mid r =
-  let* origin = R.u32 r in
-  let* seq = R.u32 r in
-  if seq < 1 then Error "mid: sequence number must be >= 1"
-  else Ok (Causal.Mid.make ~origin:(Net.Node_id.of_int origin) ~seq)
+  let origin = R.u32 r in
+  let seq = R.u32 r in
+  if seq < 1 then R.fail "mid: sequence number must be >= 1"
+  else Causal.Mid.make ~origin:(Net.Node_id.of_int origin) ~seq
 
-(* [n] decoded values as an array, filled in place (no list accumulation:
-   vector frames are decoded once per control PDU and were a steady source
-   of [List.rev] garbage). *)
-let read_vec r n read_one =
-  if n = 0 then Ok [||]
-  else
-    let* first = read_one r in
-    let arr = Array.make n first in
-    let rec loop i =
-      if i = n then Ok arr
-      else
-        let* v = read_one r in
-        arr.(i) <- v;
-        loop (i + 1)
-    in
-    loop 1
+(* For loops rather than [Array.iter (W.u32 w)]: the partial application
+   would allocate a closure per vector. *)
+let write_u32s w values =
+  for i = 0 to Array.length values - 1 do
+    W.u32 w values.(i)
+  done
 
 (* -- data messages --------------------------------------------------------
 
@@ -68,30 +56,31 @@ let write_data payload w (msg : 'a Causal.Causal_msg.t) =
   W.u32 w (Causal.Mid.seq msg.mid);
   W.u16 w (Array.length msg.deps);
   W.u16 w (Bytes.length body);
-  Array.iter (write_mid w) msg.deps;
+  for i = 0 to Array.length msg.deps - 1 do
+    write_mid w msg.deps.(i)
+  done;
   W.bytes w body
 
 (* The tag has been consumed by the dispatcher. *)
 let read_data payload r =
-  let* origin = R.u24 r in
-  let* seq = R.u32 r in
-  let* dep_count = R.u16 r in
-  let* payload_len = R.u16 r in
-  if seq < 1 then Error "data: sequence number must be >= 1"
-  else
-    let* deps = read_vec r dep_count read_mid in
-    let* raw = R.bytes r payload_len in
-    let* value = payload.decode raw in
-    (* [of_sorted_deps] rather than [make]: the encoder always writes deps
-       sorted, so an out-of-order frame is a malformed frame and decodes to
-       an error rather than being silently re-sorted. *)
-    match
-      Causal.Causal_msg.of_sorted_deps
-        ~mid:(Causal.Mid.make ~origin:(Net.Node_id.of_int origin) ~seq)
-        ~deps ~payload_size:payload_len value
-    with
-    | msg -> Ok msg
-    | exception Invalid_argument reason -> Error reason
+  let origin = R.u24 r in
+  let seq = R.u32 r in
+  let dep_count = R.u16 r in
+  let payload_len = R.u16 r in
+  if seq < 1 then R.fail "data: sequence number must be >= 1";
+  let deps = R.array r dep_count read_mid in
+  let raw = R.bytes r payload_len in
+  let value = R.of_result (payload.decode raw) in
+  (* [of_sorted_deps] rather than [make]: the encoder always writes deps
+     sorted, so an out-of-order frame is a malformed frame and decodes to
+     an error rather than being silently re-sorted. *)
+  match
+    Causal.Causal_msg.of_sorted_deps
+      ~mid:(Causal.Mid.make ~origin:(Net.Node_id.of_int origin) ~seq)
+      ~deps ~payload_size:payload_len value
+  with
+  | msg -> msg
+  | exception Invalid_argument reason -> R.fail reason
 
 (* -- decisions ------------------------------------------------------------
 
@@ -105,15 +94,20 @@ let write_decision w (d : Decision.t) =
   W.u32 w (d.subrun + 1);
   W.u32 w (Net.Node_id.to_int d.coordinator);
   W.u8 w (if d.full_group then 1 else 0);
-  Array.iter (W.u32 w) d.stable;
-  Array.iter (W.u32 w) d.max_processed;
-  Array.iter (fun node -> W.u32 w (Net.Node_id.to_int node)) d.most_updated;
-  Array.iter (W.u32 w) d.min_waiting;
-  Array.iter
-    (fun v -> W.u32 w (if v = max_int then u32_sentinel else v))
-    d.acc_stable;
-  Array.iter (W.u32 w) d.acc_min_waiting;
-  Array.iter (W.u16 w) d.attempts;
+  write_u32s w d.stable;
+  write_u32s w d.max_processed;
+  for i = 0 to Array.length d.most_updated - 1 do
+    W.u32 w (Net.Node_id.to_int d.most_updated.(i))
+  done;
+  write_u32s w d.min_waiting;
+  for i = 0 to Array.length d.acc_stable - 1 do
+    let v = d.acc_stable.(i) in
+    W.u32 w (if v = max_int then u32_sentinel else v)
+  done;
+  write_u32s w d.acc_min_waiting;
+  for i = 0 to Array.length d.attempts - 1 do
+    W.u16 w d.attempts.(i)
+  done;
   W.bitmap w d.alive;
   W.bitmap w d.heard
 
@@ -122,36 +116,43 @@ let encode_decision d =
   write_decision w d;
   W.contents w
 
-let decode_decision ~n r =
-  let* subrun_plus1 = R.u32 r in
-  let* coordinator = R.u32 r in
-  let* flags = R.u8 r in
-  let* stable = read_vec r n R.u32 in
-  let* max_processed = read_vec r n R.u32 in
-  let* most_updated_raw = read_vec r n R.u32 in
-  let* min_waiting = read_vec r n R.u32 in
-  let* acc_stable_raw = read_vec r n R.u32 in
-  let* acc_min_waiting = read_vec r n R.u32 in
-  let* attempts = read_vec r n R.u16 in
-  let* alive = R.bitmap r n in
-  let* heard = R.bitmap r n in
-  Ok
-    {
-      Decision.subrun = subrun_plus1 - 1;
-      coordinator = Net.Node_id.of_int coordinator;
-      full_group = flags land 1 <> 0;
-      stable;
-      max_processed;
-      most_updated = Array.map Net.Node_id.of_int most_updated_raw;
-      min_waiting;
-      attempts;
-      alive;
-      heard;
-      acc_stable =
-        Array.map (fun v -> if v = u32_sentinel then max_int else v)
-          acc_stable_raw;
-      acc_min_waiting;
-    }
+let read_node r = Net.Node_id.of_int (R.u32 r)
+
+let read_acc r =
+  let v = R.u32 r in
+  if v = u32_sentinel then max_int else v
+
+(* Every field in its own [let]: a record's fields are evaluated in an
+   unspecified order, and each read moves the cursor. *)
+let read_decision ~n r =
+  let subrun_plus1 = R.u32 r in
+  let coordinator = R.u32 r in
+  let flags = R.u8 r in
+  let stable = R.array r n R.u32 in
+  let max_processed = R.array r n R.u32 in
+  let most_updated = R.array r n read_node in
+  let min_waiting = R.array r n R.u32 in
+  let acc_stable = R.array r n read_acc in
+  let acc_min_waiting = R.array r n R.u32 in
+  let attempts = R.array r n R.u16 in
+  let alive = R.bitmap r n in
+  let heard = R.bitmap r n in
+  {
+    Decision.subrun = subrun_plus1 - 1;
+    coordinator = Net.Node_id.of_int coordinator;
+    full_group = flags land 1 <> 0;
+    stable;
+    max_processed;
+    most_updated;
+    min_waiting;
+    attempts;
+    alive;
+    heard;
+    acc_stable;
+    acc_min_waiting;
+  }
+
+let decode_decision ~n raw = R.decode raw (read_decision ~n)
 
 (* -- requests -------------------------------------------------------------
 
@@ -165,33 +166,32 @@ let write_request w (r : Wire.request) =
   W.u16 w (Net.Node_id.to_int r.sender);
   W.u8 w 0;
   W.u32 w r.subrun;
-  Array.iter (W.u32 w) r.last_processed;
-  Array.iter
-    (fun waiting ->
-      W.u32 w (match waiting with None -> 0 | Some mid -> Causal.Mid.seq mid))
-    r.waiting;
+  write_u32s w r.last_processed;
+  for i = 0 to Array.length r.waiting - 1 do
+    W.u32 w (match r.waiting.(i) with None -> 0 | Some mid -> Causal.Mid.seq mid)
+  done;
   write_decision w r.prev_decision
 
 let read_request ~n r =
-  let* sender = R.u16 r in
-  let* _reserved = R.u8 r in
-  let* subrun = R.u32 r in
-  let* last_processed = read_vec r n R.u32 in
-  let* waiting_seqs = read_vec r n R.u32 in
-  let* prev_decision = decode_decision ~n r in
-  Ok
-    {
-      Wire.sender = Net.Node_id.of_int sender;
-      subrun;
-      last_processed;
-      waiting =
-        Array.mapi
-          (fun origin seq ->
-            if seq = 0 then None
-            else Some (Causal.Mid.make ~origin:(Net.Node_id.of_int origin) ~seq))
-          waiting_seqs;
-      prev_decision;
-    }
+  let sender = R.u16 r in
+  let _reserved = R.u8 r in
+  let subrun = R.u32 r in
+  let last_processed = R.array r n R.u32 in
+  let waiting = Array.make (max n 0) None in
+  for origin = 0 to n - 1 do
+    let seq = R.u32 r in
+    if seq <> 0 then
+      waiting.(origin) <-
+        Some (Causal.Mid.make ~origin:(Net.Node_id.of_int origin) ~seq)
+  done;
+  let prev_decision = read_decision ~n r in
+  {
+    Wire.sender = Net.Node_id.of_int sender;
+    subrun;
+    last_processed;
+    waiting;
+    prev_decision;
+  }
 
 (* -- top level ------------------------------------------------------------ *)
 
@@ -230,56 +230,46 @@ let encode_body payload body =
   W.contents w
 
 let decode_body payload ~n raw =
-  let r = R.of_bytes raw in
-  let* tag = R.u8 r in
-  if tag = tag_data then
-    let* msg = read_data payload r in
-    let* () = R.expect_end r in
-    Ok (Wire.Data msg)
-  else if tag = tag_request then
-    let* request = read_request ~n r in
-    let* () = R.expect_end r in
-    Ok (Wire.Request request)
-  else if tag = tag_decision then
-    let* _pad = R.u24 r in
-    let* d = decode_decision ~n r in
-    let* () = R.expect_end r in
-    Ok (Wire.Decision_pdu d)
-  else if tag = tag_recover_req then
-    let* _pad = R.u24 r in
-    let* requester = R.u32 r in
-    let* origin = R.u32 r in
-    let* from_seq = R.u32 r in
-    let* to_seq = R.u32 r in
-    let* () = R.expect_end r in
-    Ok
-      (Wire.Recover_req
-         {
-           requester = Net.Node_id.of_int requester;
-           origin = Net.Node_id.of_int origin;
-           from_seq;
-           to_seq;
-         })
-  else if tag = tag_recover_reply then begin
-    let* expected = R.u24 r in
-    let* responder = R.u32 r in
-    let rec read_messages k acc =
-      if k = 0 then Ok (List.rev acc)
-      else if R.remaining r = 0 then
-        Error
-          (Printf.sprintf
-             "recover-reply: truncated; %d of %d messages missing" k expected)
-      else
-        let* inner_tag = R.u8 r in
-        if inner_tag <> tag_data then Error "recover-reply: expected a data message"
-        else
-          let* msg = read_data payload r in
-          read_messages (k - 1) (msg :: acc)
-    in
-    let* messages = read_messages expected [] in
-    let* () = R.expect_end r in
-    Ok
-      (Wire.Recover_reply
-         { responder = Net.Node_id.of_int responder; messages })
-  end
-  else Error (Printf.sprintf "unknown body tag %d" tag)
+  R.decode raw (fun r ->
+      let tag = R.u8 r in
+      if tag = tag_data then Wire.Data (read_data payload r)
+      else if tag = tag_request then Wire.Request (read_request ~n r)
+      else if tag = tag_decision then begin
+        let _pad = R.u24 r in
+        Wire.Decision_pdu (read_decision ~n r)
+      end
+      else if tag = tag_recover_req then begin
+        let _pad = R.u24 r in
+        let requester = R.u32 r in
+        let origin = R.u32 r in
+        let from_seq = R.u32 r in
+        let to_seq = R.u32 r in
+        Wire.Recover_req
+          {
+            requester = Net.Node_id.of_int requester;
+            origin = Net.Node_id.of_int origin;
+            from_seq;
+            to_seq;
+          }
+      end
+      else if tag = tag_recover_reply then begin
+        let expected = R.u24 r in
+        let responder = R.u32 r in
+        let rec read_messages k acc =
+          if k = 0 then List.rev acc
+          else if R.remaining r = 0 then
+            R.fail
+              (Printf.sprintf
+                 "recover-reply: truncated; %d of %d messages missing" k
+                 expected)
+          else if R.u8 r <> tag_data then
+            R.fail "recover-reply: expected a data message"
+          else
+            let msg = read_data payload r in
+            read_messages (k - 1) (msg :: acc)
+        in
+        let messages = read_messages expected [] in
+        Wire.Recover_reply
+          { responder = Net.Node_id.of_int responder; messages }
+      end
+      else R.fail (Printf.sprintf "unknown body tag %d" tag))

@@ -32,4 +32,4 @@ val encode_body_into :
 val decode_body : 'a payload -> n:int -> bytes -> ('a Wire.body, string) result
 
 val encode_decision : Decision.t -> bytes
-val decode_decision : n:int -> Net.Bytebuf.Reader.t -> (Decision.t, string) result
+val decode_decision : n:int -> bytes -> (Decision.t, string) result

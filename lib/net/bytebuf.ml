@@ -1,5 +1,3 @@
-let ( let* ) = Result.bind
-
 module Writer = struct
   type t = Buffer.t
 
@@ -24,9 +22,11 @@ module Writer = struct
     Buffer.add_uint8 t (v lsr 16);
     Buffer.add_uint16_be t (v land 0xFFFF)
 
+  (* Two 16-bit halves: no [int32] is boxed. *)
   let u32 t v =
     check v 32;
-    Buffer.add_int32_be t (Int32.of_int v)
+    Buffer.add_uint16_be t (v lsr 16);
+    Buffer.add_uint16_be t (v land 0xFFFF)
 
   let bytes t b = Buffer.add_bytes t b
 
@@ -52,60 +52,85 @@ end
 module Reader = struct
   type t = { data : bytes; mutable pos : int }
 
-  let of_bytes data = { data; pos = 0 }
+  (* Private to this module: every read below raises it, and [decode], the
+     only entry point, catches it. *)
+  exception Malformed of string
+
+  let fail reason = raise_notrace (Malformed reason)
+
+  let of_result = function Ok v -> v | Error reason -> fail reason
 
   let remaining t = Bytes.length t.data - t.pos
 
-  let need t n =
-    if remaining t < n then Error (Printf.sprintf "truncated: need %d bytes" n)
-    else Ok ()
+  (* Position of the next [n] bytes, which the cursor then moves past. *)
+  let take t n =
+    let pos = t.pos in
+    if Bytes.length t.data - pos < n then
+      fail (Printf.sprintf "truncated: need %d bytes" n);
+    t.pos <- pos + n;
+    pos
 
-  let u8 t =
-    let* () = need t 1 in
-    let v = Bytes.get_uint8 t.data t.pos in
-    t.pos <- t.pos + 1;
-    Ok v
+  let u8 t = Bytes.get_uint8 t.data (take t 1)
 
-  let u16 t =
-    let* () = need t 2 in
-    let v = Bytes.get_uint16_be t.data t.pos in
-    t.pos <- t.pos + 2;
-    Ok v
+  let u16 t = Bytes.get_uint16_be t.data (take t 2)
 
   let u24 t =
-    let* hi = u8 t in
-    let* lo = u16 t in
-    Ok ((hi lsl 16) lor lo)
+    let hi = u8 t in
+    let lo = u16 t in
+    (hi lsl 16) lor lo
 
+  (* Two 16-bit halves: no [int32] is boxed. *)
   let u32 t =
-    let* () = need t 4 in
-    let v = Int32.to_int (Bytes.get_int32_be t.data t.pos) in
-    let v = v land 0xFFFFFFFF in
-    t.pos <- t.pos + 4;
-    Ok v
+    let pos = take t 4 in
+    (Bytes.get_uint16_be t.data pos lsl 16)
+    lor Bytes.get_uint16_be t.data (pos + 2)
 
   let bytes t n =
-    if n < 0 then Error "negative length"
-    else
-      let* () = need t n in
-      let b = Bytes.sub t.data t.pos n in
-      t.pos <- t.pos + n;
-      Ok b
+    if n < 0 then fail "negative length";
+    Bytes.sub t.data (take t n) n
 
   let bitmap t n =
-    if n < 0 then Error "negative bitmap size"
+    if n < 0 then fail "negative bitmap size";
+    let pos = take t ((n + 7) / 8) in
+    let flags = Array.make n false in
+    for i = 0 to n - 1 do
+      if Bytes.get_uint8 t.data (pos + (i / 8)) land (1 lsl (i mod 8)) <> 0
+      then flags.(i) <- true
+    done;
+    flags
+
+  let array t n read =
+    if n < 0 then fail "negative length";
+    if n = 0 then [||]
+    else if n > remaining t then begin
+      (* Every element takes at least one byte, so a count this large is
+         truncated: read up to the failing element instead of allocating
+         [n] slots for a hostile count. *)
+      let rec exhaust () =
+        ignore (read t);
+        exhaust ()
+      in
+      exhaust ()
+    end
     else begin
-      let byte_count = (n + 7) / 8 in
-      let* raw = bytes t byte_count in
-      Ok
-        (Array.init n (fun i ->
-             let byte = Bytes.get_uint8 raw (i / 8) in
-             byte land (1 lsl (i mod 8)) <> 0))
+      let first = read t in
+      let values = Array.make n first in
+      for i = 1 to n - 1 do
+        values.(i) <- read t
+      done;
+      values
     end
 
-  let expect_end t =
-    if remaining t = 0 then Ok ()
-    else Error (Printf.sprintf "%d trailing bytes" (remaining t))
+  let decode raw read =
+    let t = { data = raw; pos = 0 } in
+    match
+      let value = read t in
+      if remaining t <> 0 then
+        fail (Printf.sprintf "%d trailing bytes" (remaining t));
+      value
+    with
+    | value -> Ok value
+    | exception Malformed reason -> Error reason
 end
 
 type 'a codec = {

@@ -1,8 +1,11 @@
 (** Byte-level writer/reader used by the wire codecs.
 
-    Big-endian fixed-width integers; the reader returns [Error] instead of
-    raising on truncated or malformed input, so decoding a hostile packet
-    can never take a protocol entity down. *)
+    Big-endian fixed-width integers.  A frame is read through
+    {!Reader.decode}, which returns [Error] on truncated or malformed
+    input and never raises, so decoding a hostile packet can never take a
+    protocol entity down.  Inside it the reads return plain values and a
+    malformed field aborts the whole decode, so a field read allocates
+    nothing. *)
 
 module Writer : sig
   type t
@@ -35,22 +38,37 @@ end
 
 module Reader : sig
   type t
+  (** A cursor over one frame. *)
 
-  val of_bytes : bytes -> t
+  val decode : bytes -> (t -> 'a) -> ('a, string) result
+  (** [decode raw read] runs [read] over a cursor at the start of [raw]
+      and returns its value once the whole frame is consumed.  A read past
+      the end, trailing bytes, or a {!fail} inside [read] give [Error] with
+      the reason.  The reads below may only be used inside [read]. *)
+
   val remaining : t -> int
-  val u8 : t -> (int, string) result
-  val u16 : t -> (int, string) result
-  val u24 : t -> (int, string) result
-  val u32 : t -> (int, string) result
-  val bytes : t -> int -> (bytes, string) result
-  val bitmap : t -> int -> (bool array, string) result
+  val u8 : t -> int
+  val u16 : t -> int
+  val u24 : t -> int
+  val u32 : t -> int
+  val bytes : t -> int -> bytes
+
+  val bitmap : t -> int -> bool array
   (** [bitmap r n] reads [ceil (n/8)] bytes and returns [n] flags. *)
 
-  val expect_end : t -> (unit, string) result
-end
+  val array : t -> int -> (t -> 'a) -> 'a array
+  (** [array r n read] reads [n] values with [read], in order; [read]
+      must consume at least one byte.  A count larger than the bytes left
+      fails as the read of the element that runs out would, without
+      allocating for the count. *)
 
-val ( let* ) :
-  ('a, string) result -> ('a -> ('b, string) result) -> ('b, string) result
+  val fail : string -> 'a
+  (** Rejects the frame being decoded with the given reason. *)
+
+  val of_result : ('a, string) result -> 'a
+  (** The value of [Ok], or {!fail} with the reason of [Error]: a nested
+      decoder such as a payload {!codec}. *)
+end
 
 type 'a codec = {
   encode : 'a -> bytes;

@@ -68,25 +68,53 @@ let json_of_spec spec =
 type t = {
   spec : spec;
   rng : Sim.Rng.t;
-  crash_time : (Node_id.t, Sim.Ticks.t) Hashtbl.t;
+  (* Crash time in ticks per node, indexed by [Node_id.to_int]; [never]
+     beyond the array or for a node with no crash.  [crashed] runs on every
+     send and receive of every packet copy, so it is an array read rather
+     than a hash probe. *)
+  mutable crash_time : int array;
   mutable silenced_subrun : int;  (* which subrun the cached set is for *)
   mutable silenced : Node_id.Set.t;
 }
 
+(* Ticks are never negative. *)
+let never = -1
+
+let set_crash_time t node time =
+  let i = Node_id.to_int node in
+  let len = Array.length t.crash_time in
+  if i >= len then begin
+    let grown = Array.make (max (i + 1) (2 * len)) never in
+    Array.blit t.crash_time 0 grown 0 len;
+    t.crash_time <- grown
+  end;
+  t.crash_time.(i) <- Sim.Ticks.to_int time
+
 let create spec ~rng =
-  let crash_time = Hashtbl.create 16 in
-  List.iter (fun (node, time) -> Hashtbl.replace crash_time node time) spec.crashes;
-  { spec; rng; crash_time; silenced_subrun = -1; silenced = Node_id.Set.empty }
+  let t =
+    {
+      spec;
+      rng;
+      crash_time = [||];
+      silenced_subrun = -1;
+      silenced = Node_id.Set.empty;
+    }
+  in
+  (* A node listed twice keeps its last time. *)
+  List.iter (fun (node, time) -> set_crash_time t node time) spec.crashes;
+  t
 
 let spec t = t.spec
 
 let crashed t ~now node =
-  match Hashtbl.find_opt t.crash_time node with
-  | None -> false
-  | Some time -> Sim.Ticks.(time <= now)
+  let i = Node_id.to_int node in
+  i < Array.length t.crash_time
+  &&
+  let time = t.crash_time.(i) in
+  time <> never && time <= Sim.Ticks.to_int now
 
 let crash_now t ~now node =
-  if not (crashed t ~now node) then Hashtbl.replace t.crash_time node now
+  if not (crashed t ~now node) then set_crash_time t node now
 
 (* Resample the silenced set lazily at each subrun boundary. *)
 let silenced_now t ~now node =

@@ -5,7 +5,12 @@
     within the same round) and may be dropped by link loss or by the
     send/receive omissions of the faulty endpoints.  A multicast is n
     unicasts, each of which can fail independently — this models the paper's
-    assumption that [send] is not indivisible. *)
+    assumption that [send] is not indivisible.
+
+    The copies of one send that draw the same delay travel as one bucket,
+    delivered by one typed {!Sim.Engine} event.  Buckets are recycled, so
+    after warm-up neither a send nor a delivery to a payload handler
+    allocates. *)
 
 type 'msg packet = {
   src : Node_id.t;
@@ -37,9 +42,9 @@ val attach : 'msg t -> Node_id.t -> ('msg packet -> unit) -> unit
     the node already has a handler. *)
 
 val attach_payload : 'msg t -> Node_id.t -> ('msg -> unit) -> unit
-(** Like {!attach} for receivers that only read the payload: batched
-    delivery then skips materializing a packet record per destination —
-    the allocation-free path the protocol stack mounts on. *)
+(** Like {!attach} for receivers that only read the payload: delivery then
+    builds no packet record — the allocation-free path the protocol stack
+    mounts on.  A packet handler gets a record built at delivery. *)
 
 val send :
   'msg t -> src:Node_id.t -> dst:Node_id.t -> kind:Traffic.kind -> size:int ->
@@ -48,19 +53,15 @@ val send :
     paper's network load counts offered messages).  Self-sends are delivered
     (with latency) like any other. *)
 
-val multicast :
-  'msg t -> src:Node_id.t -> dsts:Node_id.t list -> kind:Traffic.kind ->
-  size:int -> 'msg -> unit
-(** [n] independent unicasts, accounted as [List.length dsts] packets. *)
-
 val multicast_array :
   'msg t -> src:Node_id.t -> dsts:Node_id.t array -> kind:Traffic.kind ->
   size:int -> 'msg -> unit
-(** Same semantics, fault draws and delivery order as {!multicast} — n
-    independent unicasts — but scheduled as one batched delivery event per
-    distinct jitter value rather than one event, closure and packet per
-    destination.  The allocation-conscious entry point for large fan-outs;
-    [dsts] is not retained. *)
+(** [n] independent unicasts, accounted as [Array.length dsts] packets:
+    the fault draws (send, link, then the jitter of each survivor) are made
+    per destination in array order, exactly as [n] calls to {!send} would
+    make them, and the copies are delivered in the same order those calls
+    would give — by delay, then by position in [dsts].  One engine event
+    per distinct delay delivers its copies.  [dsts] is not retained. *)
 
 val delivered_count : 'msg t -> int
 (** Packets actually handed to a receive handler (diagnostics). *)

@@ -26,8 +26,9 @@ let execute t member action =
       | Wire.Retrans_req _ | Wire.Retrans_reply _ | Wire.Keepalive
       | Wire.Mask_out _ | Wire.Mask_ack _ | Wire.Mask_done _ ->
           ());
-      Net.Netsim.multicast t.net ~src:self
-        ~dsts:(Net.Node_id.peers (Member.participants member) ~self)
+      Net.Netsim.multicast_array t.net ~src:self
+        ~dsts:
+          (Array.of_list (Net.Node_id.peers (Member.participants member) ~self))
         ~kind:(Wire.kind body) ~size:(Wire.body_size body) body
   | Member.Unicast (dst, body) ->
       Net.Netsim.send t.net ~src:self ~dst ~kind:(Wire.kind body)

@@ -1,8 +1,6 @@
 module W = Net.Bytebuf.Writer
 module R = Net.Bytebuf.Reader
 
-let ( let* ) = Net.Bytebuf.( let* )
-
 let tag_msg = 1
 let tag_retrans_req = 2
 let tag_retrans_reply = 3
@@ -17,10 +15,10 @@ let write_mid w (mid : Context_graph.mid) =
   W.u32 w mid.seq
 
 let read_mid r =
-  let* sender = R.u32 r in
-  let* seq = R.u32 r in
-  if seq < 1 then Error "psync mid: seq must be >= 1"
-  else Ok { Context_graph.sender = Net.Node_id.of_int sender; seq }
+  let sender = R.u32 r in
+  let seq = R.u32 r in
+  if seq < 1 then R.fail "psync mid: seq must be >= 1"
+  else { Context_graph.sender = Net.Node_id.of_int sender; seq }
 
 (* node: tag u8 | sender u24 | seq u32 | pred count u16 | payload len u16
    | preds (8 each) | payload.  Total = 8 + 8 |preds| + 4 + payload
@@ -41,29 +39,20 @@ let write_node payload w (node : 'a Context_graph.node) =
   W.bytes w body
 
 let read_node payload r =
-  let* sender = R.u24 r in
-  let* seq = R.u32 r in
-  let* pred_count = R.u16 r in
-  let* payload_len = R.u16 r in
-  if seq < 1 then Error "psync msg: seq must be >= 1"
-  else begin
-    let rec read_preds k acc =
-      if k = 0 then Ok (List.rev acc)
-      else
-        let* mid = read_mid r in
-        read_preds (k - 1) (mid :: acc)
-    in
-    let* preds = read_preds pred_count [] in
-    let* raw = R.bytes r payload_len in
-    let* value = payload.Net.Bytebuf.decode raw in
-    Ok
-      {
-        Context_graph.mid = { sender = Net.Node_id.of_int sender; seq };
-        preds;
-        payload = value;
-        payload_size = payload_len;
-      }
-  end
+  let sender = R.u24 r in
+  let seq = R.u32 r in
+  let pred_count = R.u16 r in
+  let payload_len = R.u16 r in
+  if seq < 1 then R.fail "psync msg: seq must be >= 1";
+  let preds = Array.to_list (R.array r pred_count read_mid) in
+  let raw = R.bytes r payload_len in
+  let value = R.of_result (payload.Net.Bytebuf.decode raw) in
+  {
+    Context_graph.mid = { sender = Net.Node_id.of_int sender; seq };
+    preds;
+    payload = value;
+    payload_size = payload_len;
+  }
 
 let encode_body payload body =
   let w = W.create () in
@@ -103,55 +92,40 @@ let encode_body payload body =
   raw
 
 let decode_body payload raw =
-  let r = R.of_bytes raw in
-  let* tag = R.u8 r in
-  if tag = tag_msg then
-    let* node = read_node payload r in
-    let* () = R.expect_end r in
-    Ok (Wire.Msg node)
-  else if tag = tag_retrans_req then begin
-    let* requester = R.u24 r in
-    let* wanted = read_mid r in
-    let* () = R.expect_end r in
-    Ok (Wire.Retrans_req { requester = Net.Node_id.of_int requester; wanted })
-  end
-  else if tag = tag_retrans_reply then begin
-    let* _pad = R.u24 r in
-    let* inner_tag = R.u8 r in
-    if inner_tag <> tag_msg then Error "retrans-reply: expected a message"
-    else
-      let* node = read_node payload r in
-      let* () = R.expect_end r in
-      Ok (Wire.Retrans_reply node)
-  end
-  else if tag = tag_keepalive then begin
-    let* _pad = R.u24 r in
-    let* _reserved = R.u32 r in
-    let* () = R.expect_end r in
-    Ok Wire.Keepalive
-  end
-  else if tag = tag_mask_out then begin
-    let* initiator = R.u24 r in
-    let* target = R.u32 r in
-    let* _reserved = R.u32 r in
-    let* () = R.expect_end r in
-    Ok
-      (Wire.Mask_out
-         {
-           target = Net.Node_id.of_int target;
-           initiator = Net.Node_id.of_int initiator;
-         })
-  end
-  else if tag = tag_mask_ack then begin
-    let* _pad = R.u24 r in
-    let* target = R.u32 r in
-    let* () = R.expect_end r in
-    Ok (Wire.Mask_ack { target = Net.Node_id.of_int target })
-  end
-  else if tag = tag_mask_done then begin
-    let* _pad = R.u24 r in
-    let* target = R.u32 r in
-    let* () = R.expect_end r in
-    Ok (Wire.Mask_done { target = Net.Node_id.of_int target })
-  end
-  else Error (Printf.sprintf "unknown psync tag %d" tag)
+  R.decode raw (fun r ->
+      let tag = R.u8 r in
+      if tag = tag_msg then Wire.Msg (read_node payload r)
+      else if tag = tag_retrans_req then begin
+        let requester = R.u24 r in
+        let wanted = read_mid r in
+        Wire.Retrans_req { requester = Net.Node_id.of_int requester; wanted }
+      end
+      else if tag = tag_retrans_reply then begin
+        let _pad = R.u24 r in
+        if R.u8 r <> tag_msg then R.fail "retrans-reply: expected a message"
+        else Wire.Retrans_reply (read_node payload r)
+      end
+      else if tag = tag_keepalive then begin
+        let _pad = R.u24 r in
+        let _reserved = R.u32 r in
+        Wire.Keepalive
+      end
+      else if tag = tag_mask_out then begin
+        let initiator = R.u24 r in
+        let target = R.u32 r in
+        let _reserved = R.u32 r in
+        Wire.Mask_out
+          {
+            target = Net.Node_id.of_int target;
+            initiator = Net.Node_id.of_int initiator;
+          }
+      end
+      else if tag = tag_mask_ack then begin
+        let _pad = R.u24 r in
+        Wire.Mask_ack { target = Net.Node_id.of_int (R.u32 r) }
+      end
+      else if tag = tag_mask_done then begin
+        let _pad = R.u24 r in
+        Wire.Mask_done { target = Net.Node_id.of_int (R.u32 r) }
+      end
+      else R.fail (Printf.sprintf "unknown psync tag %d" tag))

@@ -7,8 +7,8 @@
 
    Slots at index >= [size] are dead.  Dead [values] slots are overwritten
    with [dummy] on pop/clear so nothing previously pushed stays reachable
-   through the backing array.  [dummy] is the only unsafe cast in the
-   library: it is never read at type ['a], only stored into dead slots. *)
+   through the backing array.  [dummy] is an unsafe cast: it is never read
+   at type ['a], only stored into dead slots. *)
 
 type 'a t = {
   mutable times : Ticks.t array;

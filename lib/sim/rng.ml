@@ -116,19 +116,22 @@ let derive ~seed index =
   in
   Int64.to_int (Int64.shift_right_logical z 2)
 
+(* At top level rather than a local [let rec] closing over [t] and
+   [bound], whose closure would be allocated on every draw: every jitter
+   draw of every packet copy comes through here. *)
+let rec draw_int t bound =
+  next t;
+  (* Low 63 bits of the output, with the same wrap-to-negative behaviour
+     as [Int64.to_int (Int64.logand out Int64.max_int)]: a value with
+     bit 62 set comes out negative and is rejected below. *)
+  let v = ((t.out_hi land 0x7FFFFFFF) lsl 32) lor t.out_lo in
+  (* Rejection sampling to avoid modulo bias. *)
+  let r = v mod bound in
+  if v - r + (bound - 1) < 0 then draw_int t bound else r
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  let rec draw () =
-    next t;
-    (* Low 63 bits of the output, with the same wrap-to-negative behaviour
-       as [Int64.to_int (Int64.logand out Int64.max_int)]: a value with
-       bit 62 set comes out negative and is rejected below. *)
-    let v = ((t.out_hi land 0x7FFFFFFF) lsl 32) lor t.out_lo in
-    (* Rejection sampling to avoid modulo bias. *)
-    let r = v mod bound in
-    if v - r + (bound - 1) < 0 then draw () else r
-  in
-  draw ()
+  draw_int t bound
 
 let float t bound =
   (* 53 random bits mapped to [0, 1). *)

@@ -27,7 +27,8 @@ let execute t member action =
       | Total_wire.Recover_req _ | Total_wire.Recover_reply _ ->
           ());
       let alive = (Member.latest_decision member).Total_decision.alive in
-      Net.Netsim.multicast t.net ~src:self ~dsts:(Net.Node_id.peers alive ~self)
+      Net.Netsim.multicast_array t.net ~src:self
+        ~dsts:(Array.of_list (Net.Node_id.peers alive ~self))
         ~kind:(Total_wire.kind body) ~size:(Total_wire.body_size body) body
   | Member.Send (dst, body) ->
       Net.Netsim.send t.net ~src:self ~dst ~kind:(Total_wire.kind body)

@@ -1,8 +1,6 @@
 module W = Net.Bytebuf.Writer
 module R = Net.Bytebuf.Reader
 
-let ( let* ) = Net.Bytebuf.( let* )
-
 let tag_data = 1
 let tag_request = 2
 let tag_decision = 3
@@ -16,10 +14,10 @@ let write_mid w mid =
   W.u32 w (Causal.Mid.seq mid)
 
 let read_mid r =
-  let* origin = R.u32 r in
-  let* seq = R.u32 r in
-  if seq < 1 then Error "mid: seq must be >= 1"
-  else Ok (Causal.Mid.make ~origin:(Net.Node_id.of_int origin) ~seq)
+  let origin = R.u32 r in
+  let seq = R.u32 r in
+  if seq < 1 then R.fail "mid: seq must be >= 1"
+  else Causal.Mid.make ~origin:(Net.Node_id.of_int origin) ~seq
 
 (* data: tag u8 | origin u24 | seq u32 | payload len u16 | pad u16 | payload
    — 8 + 4 + payload = Total_wire.data_size. *)
@@ -35,21 +33,18 @@ let write_data payload w (d : 'a Total_wire.data) =
   W.bytes w body
 
 let read_data payload r =
-  let* origin = R.u24 r in
-  let* seq = R.u32 r in
-  let* payload_len = R.u16 r in
-  let* _pad = R.u16 r in
-  if seq < 1 then Error "data: seq must be >= 1"
-  else
-    let* raw = R.bytes r payload_len in
-    let* value = payload.Net.Bytebuf.decode raw in
-    Ok
-      {
-        Total_wire.mid =
-          Causal.Mid.make ~origin:(Net.Node_id.of_int origin) ~seq;
-        payload = value;
-        payload_size = payload_len;
-      }
+  let origin = R.u24 r in
+  let seq = R.u32 r in
+  let payload_len = R.u16 r in
+  let _pad = R.u16 r in
+  if seq < 1 then R.fail "data: seq must be >= 1";
+  let raw = R.bytes r payload_len in
+  let value = R.of_result (payload.Net.Bytebuf.decode raw) in
+  {
+    Total_wire.mid = Causal.Mid.make ~origin:(Net.Node_id.of_int origin) ~seq;
+    payload = value;
+    payload_size = payload_len;
+  }
 
 (* decision: subrun+1 u32 | coordinator u32 | next_seq u32 | first u32 |
    stable u32 | flags u8 | window count... wait — the size model is
@@ -71,45 +66,37 @@ let write_decision w (d : Total_decision.t) =
   W.bitmap w d.alive;
   W.bitmap w d.heard
 
-let read_vec r n read_one =
-  let rec loop k acc =
-    if k = 0 then Ok (Array.of_list (List.rev acc))
-    else
-      let* v = read_one r in
-      loop (k - 1) (v :: acc)
-  in
-  loop n []
+let read_acc r =
+  let v = R.u32 r in
+  if v = u32_sentinel then max_int else v
 
 let read_decision ~n r =
-  let* subrun_plus1 = R.u32 r in
-  let* coordinator = R.u32 r in
-  let* next_seq = R.u32 r in
-  let* first_assigned = R.u32 r in
-  let* stable_seq = R.u32 r in
-  let* flags = R.u8 r in
+  let subrun_plus1 = R.u32 r in
+  let coordinator = R.u32 r in
+  let next_seq = R.u32 r in
+  let first_assigned = R.u32 r in
+  let stable_seq = R.u32 r in
+  let flags = R.u8 r in
   let window = next_seq - first_assigned in
-  if window < 0 then Error "decision: negative assignment window"
-  else
-    let* assignments = read_vec r window read_mid in
-    let* attempts = read_vec r n R.u16 in
-    let* acc_raw = read_vec r n R.u32 in
-    let* alive = R.bitmap r n in
-    let* heard = R.bitmap r n in
-    Ok
-      {
-        Total_decision.subrun = subrun_plus1 - 1;
-        coordinator = Net.Node_id.of_int coordinator;
-        next_seq;
-        first_assigned;
-        assignments;
-        stable_seq;
-        full_group = flags land 1 <> 0;
-        attempts;
-        alive;
-        heard;
-        acc_processed =
-          Array.map (fun v -> if v = u32_sentinel then max_int else v) acc_raw;
-      }
+  if window < 0 then R.fail "decision: negative assignment window";
+  let assignments = R.array r window read_mid in
+  let attempts = R.array r n R.u16 in
+  let acc_processed = R.array r n read_acc in
+  let alive = R.bitmap r n in
+  let heard = R.bitmap r n in
+  {
+    Total_decision.subrun = subrun_plus1 - 1;
+    coordinator = Net.Node_id.of_int coordinator;
+    next_seq;
+    first_assigned;
+    assignments;
+    stable_seq;
+    full_group = flags land 1 <> 0;
+    attempts;
+    alive;
+    heard;
+    acc_processed;
+  }
 
 (* request: tag u8 | sender u16 | pad u8 | subrun u32 | processed u32 |
    unsequenced count... size model: 4 + 4 + 4 + 8 |unsequenced| + decision
@@ -128,26 +115,19 @@ let write_request w (r : Total_wire.request) =
   write_decision w r.prev_decision
 
 let read_request ~n r =
-  let* sender = R.u24 r in
-  let* subrun = R.u32 r in
-  let* processed_upto = R.u16 r in
-  let* count = R.u16 r in
-  let rec read_mids k acc =
-    if k = 0 then Ok (List.rev acc)
-    else
-      let* mid = read_mid r in
-      read_mids (k - 1) (mid :: acc)
-  in
-  let* unsequenced = read_mids count [] in
-  let* prev_decision = read_decision ~n r in
-  Ok
-    {
-      Total_wire.sender = Net.Node_id.of_int sender;
-      subrun;
-      unsequenced;
-      processed_upto;
-      prev_decision;
-    }
+  let sender = R.u24 r in
+  let subrun = R.u32 r in
+  let processed_upto = R.u16 r in
+  let count = R.u16 r in
+  let unsequenced = Array.to_list (R.array r count read_mid) in
+  let prev_decision = read_decision ~n r in
+  {
+    Total_wire.sender = Net.Node_id.of_int sender;
+    subrun;
+    unsequenced;
+    processed_upto;
+    prev_decision;
+  }
 
 let encode_body payload body =
   let w = W.create () in
@@ -182,49 +162,36 @@ let encode_body payload body =
   raw
 
 let decode_body payload ~n raw =
-  let r = R.of_bytes raw in
-  let* tag = R.u8 r in
-  if tag = tag_data then
-    let* d = read_data payload r in
-    let* () = R.expect_end r in
-    Ok (Total_wire.Data d)
-  else if tag = tag_request then
-    let* request = read_request ~n r in
-    let* () = R.expect_end r in
-    Ok (Total_wire.Request request)
-  else if tag = tag_decision then begin
-    let* _pad = R.u24 r in
-    let* d = read_decision ~n r in
-    let* () = R.expect_end r in
-    Ok (Total_wire.Decision_pdu d)
-  end
-  else if tag = tag_recover_req then begin
-    let* requester = R.u24 r in
-    let* from_seq = R.u32 r in
-    let* to_seq = R.u32 r in
-    let* _reserved = R.u32 r in
-    let* () = R.expect_end r in
-    Ok
-      (Total_wire.Recover_req
-         { requester = Net.Node_id.of_int requester; from_seq; to_seq })
-  end
-  else if tag = tag_recover_reply then begin
-    let* responder = R.u24 r in
-    let* count = R.u32 r in
-    let rec read_messages k acc =
-      if k = 0 then Ok (List.rev acc)
-      else
-        let* seq = R.u32 r in
-        let* inner_tag = R.u8 r in
-        if inner_tag <> tag_data then Error "recover-reply: expected data"
-        else
-          let* d = read_data payload r in
-          read_messages (k - 1) ((seq, d) :: acc)
-    in
-    let* messages = read_messages count [] in
-    let* () = R.expect_end r in
-    Ok
-      (Total_wire.Recover_reply
-         { responder = Net.Node_id.of_int responder; messages })
-  end
-  else Error (Printf.sprintf "unknown urgc tag %d" tag)
+  R.decode raw (fun r ->
+      let tag = R.u8 r in
+      if tag = tag_data then Total_wire.Data (read_data payload r)
+      else if tag = tag_request then Total_wire.Request (read_request ~n r)
+      else if tag = tag_decision then begin
+        let _pad = R.u24 r in
+        Total_wire.Decision_pdu (read_decision ~n r)
+      end
+      else if tag = tag_recover_req then begin
+        let requester = R.u24 r in
+        let from_seq = R.u32 r in
+        let to_seq = R.u32 r in
+        let _reserved = R.u32 r in
+        Total_wire.Recover_req
+          { requester = Net.Node_id.of_int requester; from_seq; to_seq }
+      end
+      else if tag = tag_recover_reply then begin
+        let responder = R.u24 r in
+        let count = R.u32 r in
+        let rec read_messages k acc =
+          if k = 0 then List.rev acc
+          else
+            let seq = R.u32 r in
+            if R.u8 r <> tag_data then R.fail "recover-reply: expected data"
+            else
+              let d = read_data payload r in
+              read_messages (k - 1) ((seq, d) :: acc)
+        in
+        let messages = read_messages count [] in
+        Total_wire.Recover_reply
+          { responder = Net.Node_id.of_int responder; messages }
+      end
+      else R.fail (Printf.sprintf "unknown urgc tag %d" tag))

@@ -107,9 +107,7 @@ let roundtrip_tests =
     Alcotest.test_case "decision fields survive the roundtrip" `Quick (fun () ->
         let d = sample_decision 7 in
         let raw = Urcgc.Wire_codec.encode_decision d in
-        match
-          Urcgc.Wire_codec.decode_decision ~n:7 (Net.Bytebuf.Reader.of_bytes raw)
-        with
+        match Urcgc.Wire_codec.decode_decision ~n:7 raw with
         | Error e -> Alcotest.failf "decode: %s" e
         | Ok d' ->
             Alcotest.(check int) "subrun" d.Urcgc.Decision.subrun
@@ -124,6 +122,32 @@ let roundtrip_tests =
               d'.Urcgc.Decision.alive;
             Alcotest.(check (array bool)) "heard" d.Urcgc.Decision.heard
               d'.Urcgc.Decision.heard);
+    Alcotest.test_case
+      "an n = 40 request round-trips in at most 1.5x its decoded words" `Quick
+      (fun () ->
+        let n = 40 in
+        let body = Urcgc.Wire.Request (sample_request n) in
+        let writer = Net.Bytebuf.Writer.create () in
+        let roundtrip () =
+          let raw = Urcgc.Wire_codec.encode_body_into writer payload body in
+          match Urcgc.Wire_codec.decode_body payload ~n raw with
+          | Ok decoded -> decoded
+          | Error e -> Alcotest.fail e
+        in
+        (* The first round trip grows the pooled writer. *)
+        let decoded = roundtrip () in
+        let reps = 100 in
+        let before = Alloc_words.count () in
+        for _ = 1 to reps do
+          ignore (Sys.opaque_identity (roundtrip ()))
+        done;
+        let per_pdu = (Alloc_words.count () -. before) /. float_of_int reps in
+        let value = float_of_int (Obj.reachable_words (Obj.repr decoded)) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f words per round trip <= 1.5 x %.0f" per_pdu
+             value)
+          true
+          (per_pdu <= 1.5 *. value));
   ]
 
 let hostile_tests =
@@ -180,12 +204,20 @@ let bytebuf_tests =
         Net.Bytebuf.Writer.u16 w 65535;
         Net.Bytebuf.Writer.u24 w 0xFFFFFF;
         Net.Bytebuf.Writer.u32 w 0xFFFFFFFF;
-        let r = Net.Bytebuf.Reader.of_bytes (Net.Bytebuf.Writer.contents w) in
-        let ok v = match v with Ok x -> x | Error e -> Alcotest.fail e in
-        Alcotest.(check int) "u8" 255 (ok (Net.Bytebuf.Reader.u8 r));
-        Alcotest.(check int) "u16" 65535 (ok (Net.Bytebuf.Reader.u16 r));
-        Alcotest.(check int) "u24" 0xFFFFFF (ok (Net.Bytebuf.Reader.u24 r));
-        Alcotest.(check int) "u32" 0xFFFFFFFF (ok (Net.Bytebuf.Reader.u32 r)));
+        match
+          Net.Bytebuf.Reader.decode (Net.Bytebuf.Writer.contents w) (fun r ->
+              let u8 = Net.Bytebuf.Reader.u8 r in
+              let u16 = Net.Bytebuf.Reader.u16 r in
+              let u24 = Net.Bytebuf.Reader.u24 r in
+              let u32 = Net.Bytebuf.Reader.u32 r in
+              (u8, u16, u24, u32))
+        with
+        | Error e -> Alcotest.fail e
+        | Ok (u8, u16, u24, u32) ->
+            Alcotest.(check int) "u8" 255 u8;
+            Alcotest.(check int) "u16" 65535 u16;
+            Alcotest.(check int) "u24" 0xFFFFFF u24;
+            Alcotest.(check int) "u32" 0xFFFFFFFF u32);
     Alcotest.test_case "writer rejects out-of-range" `Quick (fun () ->
         let w = Net.Bytebuf.Writer.create () in
         Alcotest.(check bool) "u8 256" true
@@ -206,10 +238,10 @@ let bytebuf_tests =
             Net.Bytebuf.Writer.bitmap w flags;
             Alcotest.(check int) "packed size" ((n + 7) / 8)
               (Net.Bytebuf.Writer.length w);
-            let r =
-              Net.Bytebuf.Reader.of_bytes (Net.Bytebuf.Writer.contents w)
-            in
-            match Net.Bytebuf.Reader.bitmap r n with
+            match
+              Net.Bytebuf.Reader.decode (Net.Bytebuf.Writer.contents w)
+                (fun r -> Net.Bytebuf.Reader.bitmap r n)
+            with
             | Ok flags' -> Alcotest.(check (array bool)) "flags" flags flags'
             | Error e -> Alcotest.fail e)
           [ 1; 7; 8; 9; 15; 40 ]);

@@ -93,9 +93,50 @@ let cb_mutation_fuzz =
       match Cbcast.Cb_codec.decode_body payload ~n:7 raw with
       | Ok _ | Error _ -> true)
 
+(* Exhaustive single-byte mutation: every byte of one frame of every PDU
+   kind (the sample bodies of the codec suites), set to each of its 256
+   values.  Decoding must return, never raise: with the raising read
+   cursor, an exception escaping the decode boundary is the failure mode
+   to guard. *)
+let sweep name frames decode =
+  Alcotest.test_case
+    (Printf.sprintf "%s decoder survives every single-byte mutation" name)
+    `Quick (fun () ->
+      List.iter
+        (fun frame ->
+          for pos = 0 to Bytes.length frame - 1 do
+            for value = 0 to 255 do
+              let raw = Bytes.copy frame in
+              Bytes.set_uint8 raw pos value;
+              match decode raw with
+              | Ok _ | Error _ -> ()
+              | exception e ->
+                  Alcotest.failf "%d-byte frame, byte %d := %d: %s"
+                    (Bytes.length frame) pos value (Printexc.to_string e)
+            done
+          done)
+        frames)
+
+let sweeps =
+  [
+    sweep "urcgc"
+      (List.map (Urcgc.Wire_codec.encode_body payload) (Suite_codec.bodies 7))
+      (Urcgc.Wire_codec.decode_body payload ~n:7);
+    sweep "cbcast"
+      (List.map (Cbcast.Cb_codec.encode_body payload) Suite_cb_codec.bodies)
+      (Cbcast.Cb_codec.decode_body payload ~n:5);
+    sweep "urgc"
+      (List.map (Urgc.Tw_codec.encode_body payload) (Suite_tw_codec.bodies 7))
+      (Urgc.Tw_codec.decode_body payload ~n:7);
+    sweep "psync"
+      (List.map (Psync.Ps_codec.encode_body payload) Suite_ps_codec.bodies)
+      (Psync.Ps_codec.decode_body payload);
+  ]
+
 let suite =
   [
     ( "fuzz.decoders",
       List.map QCheck_alcotest.to_alcotest
         [ urcgc_fuzz; cbcast_fuzz; mutation_fuzz; cb_mutation_fuzz ] );
+    ("fuzz.sweep", sweeps);
   ]

@@ -157,8 +157,8 @@ let netsim_tests =
           (fun i ->
             Net.Netsim.attach net (node i) (fun _ -> got := i :: !got))
           [ 1; 2; 3 ];
-        Net.Netsim.multicast net ~src:(node 0) ~dsts:[ node 1; node 2; node 3 ]
-          ~kind:Net.Traffic.Data ~size:10 ();
+        Net.Netsim.multicast_array net ~src:(node 0)
+          ~dsts:[| node 1; node 2; node 3 |] ~kind:Net.Traffic.Data ~size:10 ();
         Sim.Engine.run engine;
         Alcotest.(check (list int)) "all" [ 1; 2; 3 ] (List.sort compare !got));
     Alcotest.test_case "traffic counts offered packets even when dropped" `Quick
@@ -197,6 +197,59 @@ let netsim_tests =
         Alcotest.check_raises "dup"
           (Invalid_argument "Netsim.attach: node already attached") (fun () ->
             Net.Netsim.attach net (node 1) (fun (_ : unit Net.Netsim.packet) -> ())));
+    Alcotest.test_case "a warm multicast allocates nothing and keeps nothing"
+      `Quick (fun () ->
+        let engine, net = make_net ~seed:8 () in
+        let n = 15 in
+        let dsts = Array.init n node in
+        let received = ref 0 in
+        Array.iter
+          (fun dst ->
+            Net.Netsim.attach_payload net dst (fun (_ : bytes) -> incr received))
+          dsts;
+        let unit_payload = Bytes.create 0 in
+        let multicasts count =
+          for i = 1 to count do
+            Net.Netsim.multicast_array net ~src:dsts.(i mod n) ~dsts
+              ~kind:Net.Traffic.Control ~size:64 unit_payload;
+            while Sim.Engine.step engine do
+              ()
+            done
+          done
+        in
+        (* The warm-up grows the bucket table and the engine heap. *)
+        multicasts 1000;
+        let before = Alloc_words.count () in
+        multicasts 1000;
+        let per_copy = (Alloc_words.count () -. before) /. float_of_int (1000 * n) in
+        Alcotest.(check int) "every copy delivered" (2000 * n) !received;
+        Alcotest.(check bool)
+          (Printf.sprintf "%.3f words per copy < 1" per_copy)
+          true (per_copy < 1.0);
+        (* Recycled buckets hold no payload once delivered, whether sent
+           by multicast or unicast. *)
+        let count = 8 in
+        let weak = Weak.create count in
+        for i = 0 to count - 1 do
+          let payload = Bytes.make 32 (Char.chr (65 + i)) in
+          Weak.set weak i (Some payload);
+          if i mod 2 = 0 then
+            Net.Netsim.multicast_array net ~src:(node 0) ~dsts
+              ~kind:Net.Traffic.Data ~size:32 payload
+          else
+            Net.Netsim.send net ~src:(node 0) ~dst:(node 1)
+              ~kind:Net.Traffic.Data ~size:32 payload
+        done;
+        Sim.Engine.run engine;
+        Gc.full_major ();
+        for i = 0 to count - 1 do
+          Alcotest.(check bool)
+            (Printf.sprintf "payload %d released" i)
+            false (Weak.check weak i)
+        done;
+        (* The network is still live: only its buckets let go. *)
+        Alcotest.(check int) "then delivered" ((2000 + 4) * n + 4)
+          (Net.Netsim.delivered_count net));
     Alcotest.test_case "link loss drops roughly the configured fraction" `Quick
       (fun () ->
         let spec = { Net.Fault.reliable with link_loss = 0.25 } in

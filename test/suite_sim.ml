@@ -394,6 +394,139 @@ let engine_tests =
         Alcotest.(check bool) "empty" false (Sim.Engine.step engine));
   ]
 
+(* Typed and closure events share one (time, scheduling order) sequence.
+   Each generated event is a closure or a typed event of kind A or B, at a
+   time in [0, 20]; a closure may be cancelled before the run; any event
+   may, when it fires, cancel one of the initial events and schedule one
+   child after a delay.  The engine's firing order must equal a naive
+   reference that sorts pending events by (time, scheduling order). *)
+type form = Closure | Kind_a | Kind_b
+
+type spec = {
+  at : int;
+  form : form;
+  cancelled : bool;  (* before the run; closures only *)
+  cancels : int option;  (* an initial event, cancelled when this fires *)
+  child : (int * form) option;  (* delay and form, scheduled when this fires *)
+}
+
+let spec_gen =
+  QCheck.Gen.(
+    let form = oneofl [ Closure; Kind_a; Kind_b ] in
+    (* Some with probability 1/k. *)
+    let sometimes k gen =
+      map2 (fun roll v -> if roll = 0 then Some v else None) (int_bound (k - 1)) gen
+    in
+    list_size (int_bound 40)
+      (map
+         (fun ((at, form, cancelled), (cancels, child)) ->
+           { at; form; cancelled = cancelled && form = Closure; cancels; child })
+         (pair
+            (triple (int_bound 20) form (map (fun k -> k = 0) (int_bound 3)))
+            (pair
+               (sometimes 5 (int_bound 39))
+               (sometimes 3 (pair (int_bound 5) form))))))
+
+(* Fired event ids, in order, from the engine. *)
+let engine_order specs =
+  let specs = Array.of_list specs in
+  let engine = Sim.Engine.create () in
+  let fired = ref [] in
+  let handles = Hashtbl.create 16 in
+  (* Per id: what firing it does.  Children do nothing more. *)
+  let effects = Hashtbl.create 16 in
+  let next_id = ref (Array.length specs) in
+  let rec fire id =
+    fired := id :: !fired;
+    match Hashtbl.find_opt effects id with
+    | None -> ()
+    | Some (cancels, child) -> (
+        Option.iter
+          (fun j ->
+            if j < Array.length specs then
+              Option.iter Sim.Engine.cancel (Hashtbl.find_opt handles j))
+          cancels;
+        match child with
+        | None -> ()
+        | Some (delay, form) ->
+            let id = !next_id in
+            incr next_id;
+            schedule ~at:(Sim.Ticks.to_int (Sim.Engine.now engine) + delay) form id)
+  and schedule ~at form id =
+    let at = Sim.Ticks.of_int at in
+    match form with
+    | Closure ->
+        Hashtbl.replace handles id
+          (Sim.Engine.schedule engine ~at (fun () -> fire id))
+    | Kind_a -> Sim.Engine.post engine (Lazy.force kind_a) ~at id
+    | Kind_b -> Sim.Engine.post engine (Lazy.force kind_b) ~at id
+  and kind_a = lazy (Sim.Engine.register engine ~label:"a" fire)
+  and kind_b = lazy (Sim.Engine.register engine ~label:"b" fire) in
+  Array.iteri
+    (fun id spec ->
+      Hashtbl.replace effects id (spec.cancels, spec.child);
+      schedule ~at:spec.at spec.form id)
+    specs;
+  Array.iteri
+    (fun id spec ->
+      if spec.cancelled then Sim.Engine.cancel (Hashtbl.find handles id))
+    specs;
+  Sim.Engine.run engine;
+  List.rev !fired
+
+let reference_order specs =
+  let specs = Array.of_list specs in
+  let initial = Array.length specs in
+  (* (time, id, form): an event's id is its scheduling order. *)
+  let pending =
+    ref (List.mapi (fun id spec -> (spec.at, id, spec.form)) (Array.to_list specs))
+  in
+  let cancelled = Hashtbl.create 16 in
+  Array.iteri
+    (fun id spec -> if spec.cancelled then Hashtbl.replace cancelled id ())
+    specs;
+  let next = ref initial in
+  let fired = ref [] in
+  let rec loop () =
+    match List.sort compare !pending with
+    | [] -> ()
+    | (time, id, form) :: rest ->
+        pending := rest;
+        if not (form = Closure && Hashtbl.mem cancelled id) then begin
+          fired := id :: !fired;
+          if id < initial then begin
+            let spec = specs.(id) in
+            Option.iter
+              (fun j ->
+                if j < initial && specs.(j).form = Closure then
+                  Hashtbl.replace cancelled j ())
+              spec.cancels;
+            Option.iter
+              (fun (delay, form) ->
+                pending := (time + delay, !next, form) :: !pending;
+                incr next)
+              spec.child
+          end
+        end;
+        loop ()
+  in
+  loop ();
+  List.rev !fired
+
+let engine_property =
+  QCheck.Test.make
+    ~name:"typed and closure events fire in (time, scheduling order)"
+    ~count:300
+    (QCheck.make
+       ~print:(fun specs -> Printf.sprintf "%d events" (List.length specs))
+       spec_gen)
+    (fun specs ->
+      let fired = engine_order specs in
+      let never_cancelled id =
+        id >= List.length specs || not (List.nth specs id).cancelled
+      in
+      fired = reference_order specs && List.for_all never_cancelled fired)
+
 (* Free-form narration goes into the typed trace as Note events. *)
 let message (r : Sim.Trace.record) = Sim.Trace.event_message r.Sim.Trace.event
 
@@ -442,6 +575,6 @@ let suite =
     ("sim.ticks", ticks_tests);
     ("sim.heap", heap_tests @ [ QCheck_alcotest.to_alcotest heap_property ]);
     ("sim.rng", rng_tests);
-    ("sim.engine", engine_tests);
+    ("sim.engine", engine_tests @ [ QCheck_alcotest.to_alcotest engine_property ]);
     ("sim.tracer", tracer_tests);
   ]
