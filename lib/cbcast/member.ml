@@ -486,20 +486,3 @@ let handle t ~subrun ~from body =
         if view_id <= t.view_id then []
         else install_view t ~view_id ~members:new_members ~retransmit
   end
-
-let buffer_contents t =
-  List.map
-    (fun d -> (Net.Node_id.to_int d.Cb_wire.sender, Cb_wire.seq d))
-    t.buffer
-
-let buffer_dump t =
-  List.map
-    (fun d ->
-      Format.asprintf "%a#%d%a" Net.Node_id.pp d.Cb_wire.sender (Cb_wire.seq d)
-        Vclock.pp d.Cb_wire.vt)
-    (List.sort
-       (fun a b ->
-         let c = Net.Node_id.compare a.Cb_wire.sender b.Cb_wire.sender in
-         if c <> 0 then c else compare (Cb_wire.seq a) (Cb_wire.seq b))
-       t.buffer)
-  |> String.concat "\n  "

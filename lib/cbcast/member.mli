@@ -47,9 +47,3 @@ val on_round : 'a t -> subrun:int -> 'a action list
     index used by the failure detector and flush timeouts. *)
 
 val handle : 'a t -> subrun:int -> from:Net.Node_id.t -> 'a Cb_wire.body -> 'a action list
-
-val buffer_contents : 'a t -> (int * int) list
-(** (sender, seq) of each buffered message — diagnostics. *)
-
-val buffer_dump : 'a t -> string
-(** Sender, seq and full vector timestamp of each buffered message. *)

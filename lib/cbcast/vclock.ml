@@ -11,7 +11,6 @@ let copy = Array.copy
 let n t = Array.length t
 
 let get t node = t.(Net.Node_id.to_int node)
-let set t node v = t.(Net.Node_id.to_int node) <- v
 
 let tick t node =
   let i = Net.Node_id.to_int node in

@@ -15,7 +15,6 @@ val copy : t -> t
 val n : t -> int
 
 val get : t -> Net.Node_id.t -> int
-val set : t -> Net.Node_id.t -> int -> unit
 
 val tick : t -> Net.Node_id.t -> unit
 (** Increment one entry in place. *)

@@ -34,18 +34,16 @@ let iter_live g f =
 let start g body =
   if g.started then invalid_arg "Group.start: already started";
   g.started <- true;
-  let rec tick () =
+  let rec tick _ =
     let round = g.round in
     body round;
     g.round <- round + 1;
     List.iter (fun callback -> callback ~round) g.round_callbacks;
-    ignore
-      (Sim.Engine.schedule_after ~label:"cluster.round" g.engine
-         ~delay:Sim.Ticks.round tick)
+    Sim.Engine.post_after g.engine (Lazy.force kind) ~delay:Sim.Ticks.round 0
+  and kind =
+    lazy (Sim.Engine.register g.engine ~label:"cluster.round" tick)
   in
-  ignore
-    (Sim.Engine.schedule_after ~label:"cluster.round" g.engine
-       ~delay:Sim.Ticks.zero tick)
+  Sim.Engine.post_after g.engine (Lazy.force kind) ~delay:Sim.Ticks.zero 0
 
 let on_round g callback = g.round_callbacks <- g.round_callbacks @ [ callback ]
 let round g = g.round

@@ -24,7 +24,6 @@ type 'msg pending = {
   per_dst : (int, dst_state) Hashtbl.t;
   mutable acked : int;  (** destinations fully acknowledged *)
   mutable retries_left : int;
-  mutable confirmed : bool;
   on_confirm : acked:int -> unit;
 }
 
@@ -37,7 +36,10 @@ type 'msg t = {
   (* Per-receiver reassembly: (origin, xid) -> fragments received, and
      whether the body was already delivered. *)
   reassembly : (Node_id.t, (int * int, bool array * bool ref) Hashtbl.t) Hashtbl.t;
+  (* Unconfirmed requests by xid: a request leaves on confirmation, so a
+     retry or an ack that finds no entry is late and does nothing. *)
   pendings : (int, 'msg pending) Hashtbl.t;
+  retry_kind : Sim.Engine.kind;
   mutable next_xid : int;
   mutable retransmissions : int;
   mutable fragments_sent : int;
@@ -46,28 +48,6 @@ type 'msg t = {
 let ack_size = 12
 
 let fragment_header = 8
-
-let create ?latency ?retry_interval ?max_retries ?mtu engine ~fault ~rng () =
-  let retry_interval =
-    Option.value retry_interval ~default:(Sim.Ticks.of_int Sim.Ticks.per_rtd)
-  in
-  let max_retries = Option.value max_retries ~default:4 in
-  (match mtu with
-  | Some mtu when mtu <= fragment_header ->
-      invalid_arg "Transport.create: mtu too small"
-  | Some _ | None -> ());
-  {
-    net = Netsim.create ?latency engine ~fault ~rng ();
-    retry_interval;
-    max_retries;
-    mtu;
-    handlers = Hashtbl.create 64;
-    reassembly = Hashtbl.create 64;
-    pendings = Hashtbl.create 64;
-    next_xid = 0;
-    retransmissions = 0;
-    fragments_sent = 0;
-  }
 
 let traffic t = Netsim.traffic t.net
 let set_trace t trace = Netsim.set_trace t.net trace
@@ -141,8 +121,7 @@ let on_frame t node packet =
                 if not (Array.exists Fun.id state.missing) then begin
                   state.complete <- true;
                   pending.acked <- pending.acked + 1;
-                  if pending.acked >= pending.h && not pending.confirmed then begin
-                    pending.confirmed <- true;
+                  if pending.acked >= pending.h then begin
                     Hashtbl.remove t.pendings xid;
                     pending.on_confirm ~acked:pending.acked
                   end
@@ -180,23 +159,56 @@ let transmit t pending ~first =
           state.missing)
     pending.per_dst
 
-let rec arm_retry t pending =
-  ignore
-    (Sim.Engine.schedule_after ~label:"net.retry" (Netsim.engine t.net)
-       ~delay:t.retry_interval
-       (fun () ->
-         if not pending.confirmed then
-           if pending.retries_left > 0 then begin
-             pending.retries_left <- pending.retries_left - 1;
-             transmit t pending ~first:false;
-             arm_retry t pending
-           end
-           else begin
-             (* The primitive never fails: confirm with whatever we got. *)
-             pending.confirmed <- true;
-             Hashtbl.remove t.pendings pending.xid;
-             pending.on_confirm ~acked:pending.acked
-           end))
+let arm_retry t pending =
+  Sim.Engine.post_after (Netsim.engine t.net) t.retry_kind
+    ~delay:t.retry_interval pending.xid
+
+let retry t xid =
+  match Hashtbl.find_opt t.pendings xid with
+  | None -> ()
+  | Some pending ->
+      if pending.retries_left > 0 then begin
+        pending.retries_left <- pending.retries_left - 1;
+        transmit t pending ~first:false;
+        arm_retry t pending
+      end
+      else begin
+        (* The primitive never fails: confirm with whatever we got. *)
+        Hashtbl.remove t.pendings xid;
+        pending.on_confirm ~acked:pending.acked
+      end
+
+let create ?latency ?retry_interval ?max_retries ?mtu engine ~fault ~rng () =
+  let retry_interval =
+    Option.value retry_interval ~default:(Sim.Ticks.of_int Sim.Ticks.per_rtd)
+  in
+  let max_retries = Option.value max_retries ~default:4 in
+  (match mtu with
+  | Some mtu when mtu <= fragment_header ->
+      invalid_arg "Transport.create: mtu too small"
+  | Some _ | None -> ());
+  (* The transport does not exist yet when its retry kind is registered. *)
+  let retry_to = ref ignore in
+  let net = Netsim.create ?latency engine ~fault ~rng () in
+  let t =
+    {
+      net;
+      retry_interval;
+      max_retries;
+      mtu;
+      handlers = Hashtbl.create 64;
+      reassembly = Hashtbl.create 64;
+      pendings = Hashtbl.create 64;
+      retry_kind =
+        Sim.Engine.register engine ~label:"net.retry" (fun xid ->
+            !retry_to xid);
+      next_xid = 0;
+      retransmissions = 0;
+      fragments_sent = 0;
+    }
+  in
+  retry_to := retry t;
+  t
 
 let request t ~src ~dsts ~h ~kind ~size ~on_confirm body =
   if dsts = [] then invalid_arg "Transport.request: empty destination set";
@@ -225,7 +237,6 @@ let request t ~src ~dsts ~h ~kind ~size ~on_confirm body =
       per_dst;
       acked = 0;
       retries_left = t.max_retries;
-      confirmed = false;
       on_confirm;
     }
   in

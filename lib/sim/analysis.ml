@@ -891,15 +891,6 @@ let buf_dist buf d =
       d.count (float_str d.mean) (float_str d.min) (float_str d.max)
       (float_str d.p50) (float_str d.p95)
 
-let buf_string_list buf items =
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char buf ',';
-      Json.buf_string buf s)
-    items;
-  Buffer.add_char buf ']'
-
 let buf_int_list buf items =
   Buffer.add_char buf '[';
   List.iteri
@@ -935,9 +926,9 @@ let report_json t =
     ",\"verdict\":{\"ok\":%b,\"causal_ok\":%b,\"at_most_once_ok\":%b,\"atomicity_ok\":%b,\"zombie_ok\":%b,\"partition_ok\":%b,\"checks_skipped\":"
     (verdict_ok t.verdict) t.verdict.causal_ok t.verdict.at_most_once_ok
     t.verdict.atomicity_ok t.verdict.zombie_ok t.verdict.partition_ok;
-  buf_string_list buf t.verdict.skipped;
+  Json.buf_string_list buf t.verdict.skipped;
   Buffer.add_string buf ",\"violations\":";
-  buf_string_list buf t.verdict.violations;
+  Json.buf_string_list buf t.verdict.violations;
   Buffer.add_char buf '}';
   let confirmed =
     List.length (List.filter (fun s -> s.confirmed) t.spans)

@@ -1,53 +1,41 @@
 (** Discrete-event simulation engine.
 
-    Callbacks are executed in nondecreasing time order; events scheduled for
-    the same instant run in the order they were scheduled, which makes runs
+    Events run in nondecreasing time order; events queued for the same
+    instant run in the order they were posted, which makes runs
     deterministic.
 
-    An event is either a closure ({!schedule}), which can be cancelled, or
-    a typed event ({!post}): a registered {!kind} and an int argument.  A
-    typed event is an entry of ints in the queue and allocates nothing; it
-    is the form for per-packet events, while closures serve round ticks,
-    retries, timers and tests.  Both forms share one (time, scheduling
-    order) sequence. *)
+    An event is a registered {!kind} and an int argument.  A caller
+    registers one kind per event class (a packet delivery, a round tick, a
+    retry), once per engine, and posts each occurrence with the int that
+    tells its handler what to act on: a slot, an id, a node.  A queued event
+    is an entry of ints in a {!Heap.t}, so posting and running one allocates
+    nothing. *)
 
 type t
-
-type handle
-(** A scheduled event that can be cancelled before it fires. *)
 
 val create : unit -> t
 
 val now : t -> Ticks.t
 
 val pending : t -> int
-(** Number of events still queued (including cancelled ones not yet popped). *)
-
-val schedule : ?label:string -> t -> at:Ticks.t -> (unit -> unit) -> handle
-(** Raises [Invalid_argument] if [at] is in the past.  [label] (default
-    ["event"]) names the event class for profiling: when [Prof] is
-    enabled, {!step} runs the callback inside a span of that name, so
-    dispatch cost is attributed per event class.  Labels do not affect
-    scheduling order or any simulation output. *)
-
-val schedule_after : ?label:string -> t -> delay:Ticks.t -> (unit -> unit) -> handle
-
-val cancel : handle -> unit
-(** Cancelling an already-fired or cancelled event is a no-op. *)
+(** Number of events still queued. *)
 
 type kind
-(** A class of typed events of one engine: a handler and a profiling
-    label, registered once. *)
+(** A class of events of one engine: a handler and a profiling label,
+    registered once. *)
 
 val register : t -> label:string -> (int -> unit) -> kind
 (** [register t ~label handler] makes a kind whose events run
-    [handler arg], inside a span named [label] when [Prof] is enabled.
-    Raises [Invalid_argument] beyond 1023 kinds per engine. *)
+    [handler arg].  [label] names the event class for profiling: when
+    [Prof] is enabled, {!step} runs the handler inside a span of that name,
+    so dispatch cost is attributed per event class.  Labels do not affect
+    event order or any simulation output.  Raises [Invalid_argument] beyond
+    1024 kinds per engine. *)
 
 val post : t -> kind -> at:Ticks.t -> int -> unit
-(** [post t kind ~at arg] queues a typed event.  It cannot be cancelled.
-    Raises [Invalid_argument] if [at] is in the past, if [kind] belongs to
-    another engine, or if [arg] is negative or above [max_int lsr 10]. *)
+(** [post t kind ~at arg] queues an event.  Raises [Invalid_argument] if
+    [at] is in the past, if [kind] belongs to another engine, or if [arg]
+    is negative or above [max_int lsr 10]. *)
 
 val post_after : t -> kind -> delay:Ticks.t -> int -> unit
 
@@ -57,6 +45,3 @@ val step : t -> bool
 val run : ?until:Ticks.t -> t -> unit
 (** Runs events until the queue empties, or past [until] (events strictly
     later than [until] stay queued and the clock advances to [until]). *)
-
-val stop : t -> unit
-(** Makes the current [run] return after the executing event completes. *)

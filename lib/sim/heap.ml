@@ -1,23 +1,17 @@
-(* The heap is stored as three parallel arrays rather than an array of
+(* The heap is stored as three parallel int arrays rather than an array of
    [{ time; seq; value }] records: a push into the record form allocated a
    5-word box per event, which on the simulation hot path (one push per
    network packet) was a measurable slice of the per-subrun minor-heap
-   budget.  [Ticks.t] is a private int, so [times] is an unboxed int array
-   at runtime and a push now allocates nothing.
+   budget.  [Ticks.t] is a private int, so every array is unboxed and holds
+   no pointers: a push allocates nothing, and slots at index >= [size]
+   keep stale ints that nothing reads. *)
 
-   Slots at index >= [size] are dead.  Dead [values] slots are overwritten
-   with [dummy] on pop/clear so nothing previously pushed stays reachable
-   through the backing array.  [dummy] is an unsafe cast: it is never read
-   at type ['a], only stored into dead slots. *)
-
-type 'a t = {
+type t = {
   mutable times : Ticks.t array;
   mutable seqs : int array;
-  mutable values : 'a array;
+  mutable values : int array;
   mutable size : int;
 }
-
-let dummy : 'a. 'a = Obj.magic ()
 
 let create () = { times = [||]; seqs = [||]; values = [||]; size = 0 }
 
@@ -44,18 +38,14 @@ let swap t i j =
 let grow t =
   let cap = Array.length t.times in
   let new_cap = if cap = 0 then 16 else cap * 2 in
-  let times = Array.make new_cap Ticks.zero in
-  Array.blit t.times 0 times 0 t.size;
-  t.times <- times;
-  let seqs = Array.make new_cap 0 in
-  Array.blit t.seqs 0 seqs 0 t.size;
-  t.seqs <- seqs;
-  (* [Array.make] with an immediate dummy builds an ordinary (non-flat)
-     array even when ['a] is [float]; the generic accessors handle boxed
-     floats stored into it. *)
-  let values = Array.make new_cap dummy in
-  Array.blit t.values 0 values 0 t.size;
-  t.values <- values
+  let extend a zero =
+    let b = Array.make new_cap zero in
+    Array.blit a 0 b 0 t.size;
+    b
+  in
+  t.times <- extend t.times Ticks.zero;
+  t.seqs <- extend t.seqs 0;
+  t.values <- extend t.values 0
 
 let rec sift_up t i =
   if i > 0 then begin
@@ -95,22 +85,5 @@ let pop_top t =
   t.times.(0) <- t.times.(t.size);
   t.seqs.(0) <- t.seqs.(t.size);
   t.values.(0) <- t.values.(t.size);
-  t.values.(t.size) <- dummy;
   if t.size > 0 then sift_down t 0;
   v
-
-let peek t =
-  if t.size = 0 then None else Some (t.times.(0), t.seqs.(0), t.values.(0))
-
-let pop t =
-  if t.size = 0 then None
-  else
-    let time = t.times.(0) and seq = t.seqs.(0) in
-    let v = pop_top t in
-    Some (time, seq, v)
-
-let clear t =
-  (* Keep the grown capacity — an engine that drains and restarts would
-     otherwise pay the re-growth doublings again — but drop every entry. *)
-  Array.fill t.values 0 t.size dummy;
-  t.size <- 0

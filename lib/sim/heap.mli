@@ -1,35 +1,25 @@
-(** Binary min-heap keyed by [(Ticks.t, int)].
+(** Binary min-heap of ints keyed by [(Ticks.t, int)].
 
-    The integer component is an insertion sequence number supplied by the
-    caller; it breaks ties deterministically so that two events scheduled for
-    the same instant fire in insertion order. *)
+    The integer key component is an insertion sequence number supplied by the
+    caller; it breaks ties deterministically so that two entries pushed for
+    the same instant pop in insertion order.  Keys and values live in
+    parallel int arrays, so neither a push nor a pop allocates once the
+    arrays have grown. *)
 
-type 'a t
+type t
 
-val create : unit -> 'a t
+val create : unit -> t
 
-val length : 'a t -> int
+val length : t -> int
 
-val is_empty : 'a t -> bool
+val is_empty : t -> bool
 
-val push : 'a t -> time:Ticks.t -> seq:int -> 'a -> unit
+val push : t -> time:Ticks.t -> seq:int -> int -> unit
 
-val peek : 'a t -> (Ticks.t * int * 'a) option
-(** Smallest element without removing it. *)
+val top_time : t -> Ticks.t
+(** Time of the smallest entry.  Raises [Invalid_argument] on an empty
+    heap. *)
 
-val pop : 'a t -> (Ticks.t * int * 'a) option
-(** Removes and returns the smallest element. *)
-
-val top_time : 'a t -> Ticks.t
-(** Time of the smallest element, without allocating.  Raises
+val pop_top : t -> int
+(** Removes the smallest entry and returns its value.  Raises
     [Invalid_argument] on an empty heap. *)
-
-val pop_top : 'a t -> 'a
-(** Removes the smallest element and returns its value, without
-    allocating.  Raises [Invalid_argument] on an empty heap. *)
-
-val clear : 'a t -> unit
-(** Empties the heap, releasing every stored entry (nothing previously
-    pushed stays reachable through the heap) while keeping the grown
-    backing capacity, so push-after-clear does not re-pay the growth
-    doublings. *)

@@ -272,3 +272,12 @@ let buf_string buf s =
       | c -> Buffer.add_char buf c)
     s;
   Buffer.add_char buf '"'
+
+let buf_string_list buf items =
+  Buffer.add_char buf '[';
+  List.iteri
+    (fun i s ->
+      if i > 0 then Buffer.add_char buf ',';
+      buf_string buf s)
+    items;
+  Buffer.add_char buf ']'

@@ -27,3 +27,7 @@ val buf_string : Buffer.t -> string -> unit
 (** Append [s] as a JSON string literal, escaped exactly like the repo's
     exporters (quote, backslash, newline and tab get named escapes; other
     control bytes render as [\u00XX]). *)
+
+val buf_string_list : Buffer.t -> string list -> unit
+(** Append a JSON array of string literals, each escaped as by
+    {!buf_string}. *)

@@ -46,11 +46,12 @@ let read_data payload r =
     payload_size = payload_len;
   }
 
-(* decision: subrun+1 u32 | coordinator u32 | next_seq u32 | first u32 |
-   stable u32 | flags u8 | window count... wait — the size model is
-   17 + 8 |assignments| + 6n + 2 ceil(n/8); encode to match exactly:
-     (4+4+4+4+4+1) = 21?  Total_decision.encoded_size =
-     4+4+4+4+4+1 + 8 w + 2n + 4n + 2 bitmaps.  *)
+(* decision: subrun+1 u32 | coordinator u32 | next_seq u32 |
+   first_assigned u32 | stable_seq u32 | flags u8 | assignments, one mid
+   (origin u32 | seq u32) per slot of next_seq - first_assigned |
+   attempts n x u16 | acc_processed n x u32 (max_int as 0xFFFFFFFF) |
+   alive bitmap | heard bitmap, ceil(n/8) bytes each — 21 + 8 window + 6n
+   + 2 ceil(n/8) = Total_decision.encoded_size. *)
 let write_decision w (d : Total_decision.t) =
   W.u32 w (d.subrun + 1);
   W.u32 w (Net.Node_id.to_int d.coordinator);
@@ -98,13 +99,11 @@ let read_decision ~n r =
     acc_processed;
   }
 
-(* request: tag u8 | sender u16 | pad u8 | subrun u32 | processed u32 |
-   unsequenced count... size model: 4 + 4 + 4 + 8 |unsequenced| + decision
-   — count derives from total? No: unsequenced count must be explicit.
-   The size model allots 4+4+4 = 12 fixed bytes: tag u8 | sender u16 |
-   count u8?? count can exceed 255... use: tag u8 | sender u24 | subrun u32
-   | processed u16 | count u16.  processed u16 caps at 65535 messages —
-   acceptable for simulation but enforce. *)
+(* request: tag u8 | sender u24 | subrun u32 | processed_upto u16 |
+   count u16 | count unsequenced mids, 8 bytes each | the piggybacked
+   decision — 12 + 8 count + Total_decision.encoded_size =
+   Total_wire.body_size.  The writer refuses a processed_upto or count
+   past 65535. *)
 let write_request w (r : Total_wire.request) =
   W.u8 w tag_request;
   W.u24 w (Net.Node_id.to_int r.sender);

@@ -466,30 +466,6 @@ let run ?(over_budget = false) ?(shrink_failures = true) ?(with_metrics = false)
 
 (* ---- JSON report ------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let buf_string_list buf strings =
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "\"%s\"" (json_escape s))
-    strings;
-  Buffer.add_char buf ']'
-
 let buf_spec buf spec =
   Printf.bprintf buf
     "{\"n\":%d,\"k\":%d,\"rate\":%s,\"messages\":%d,\"send_omission\":%s,\"recv_omission\":%s,\"link_loss\":%s,\"silenced_per_subrun\":%d,\"crashes\":["
@@ -517,9 +493,9 @@ let buf_run buf r =
     (if r.outcome.ok then "ok" else "fail");
   if not r.outcome.ok then begin
     Buffer.add_string buf ",\"violations\":";
-    buf_string_list buf r.outcome.violations;
-    Printf.bprintf buf ",\"repro\":\"%s\""
-      (json_escape (repro_command ~seed:r.seed r.spec))
+    Sim.Json.buf_string_list buf r.outcome.violations;
+    Buffer.add_string buf ",\"repro\":";
+    Sim.Json.buf_string buf (repro_command ~seed:r.seed r.spec)
   end;
   (match r.shrunk with
   | None -> ()
@@ -527,9 +503,10 @@ let buf_run buf r =
       Buffer.add_string buf ",\"shrunk\":{\"spec\":";
       buf_spec buf s.shrunk_spec;
       Buffer.add_string buf ",\"violations\":";
-      buf_string_list buf s.shrunk_violations;
-      Printf.bprintf buf ",\"steps\":%d,\"repro\":\"%s\"}" s.shrink_steps
-        (json_escape (repro_command ~seed:r.seed s.shrunk_spec)));
+      Sim.Json.buf_string_list buf s.shrunk_violations;
+      Printf.bprintf buf ",\"steps\":%d,\"repro\":" s.shrink_steps;
+      Sim.Json.buf_string buf (repro_command ~seed:r.seed s.shrunk_spec);
+      Buffer.add_char buf '}');
   (match r.metrics with
   | None -> ()
   | Some json -> Printf.bprintf buf ",\"metrics\":%s" json);

@@ -10,7 +10,7 @@ type verdict = {
 let ok v =
   v.causal_ok && v.atomicity_ok && v.zombie_ok && v.views_ok && v.partition_ok
 
-let check_causal_order cluster violations =
+let check_causal_order cluster deliveries violations =
   let config = Urcgc.Cluster.config cluster in
   let n = config.Urcgc.Config.n in
   let trackers = Hashtbl.create n in
@@ -45,10 +45,10 @@ let check_causal_order cluster violations =
           ~origin:(Causal.Mid.origin msg.Causal.Causal_msg.mid)
           ~seq:(Causal.Mid.seq msg.Causal.Causal_msg.mid)
       end)
-    (Urcgc.Cluster.deliveries cluster);
+    deliveries;
   !causal_ok
 
-let check_atomicity cluster violations =
+let check_atomicity cluster deliveries violations =
   let actives = Urcgc.Cluster.active_members cluster in
   let processed_by = Hashtbl.create 16 in
   List.iter
@@ -61,7 +61,7 @@ let check_atomicity cluster violations =
       | Some set ->
           Hashtbl.replace processed_by node
             (Causal.Mid.Set.add msg.Causal.Causal_msg.mid set))
-    (Urcgc.Cluster.deliveries cluster);
+    deliveries;
   match actives with
   | [] -> true
   | first :: rest ->
@@ -88,7 +88,7 @@ let check_atomicity cluster violations =
         rest;
       !atomicity_ok
 
-let check_no_zombie cluster violations =
+let check_no_zombie cluster deliveries violations =
   let actives = Net.Node_id.Set.of_list (Urcgc.Cluster.active_members cluster) in
   (* Only survivors' discards witness group agreement.  A member that later
      departed may have purged orphans under a decision nobody else holds —
@@ -134,7 +134,7 @@ let check_no_zombie cluster violations =
               Sim.Ticks.pp at Sim.Ticks.pp left
             :: !violations
       | _ -> ())
-    (Urcgc.Cluster.deliveries cluster);
+    deliveries;
   !ok
 
 (* A [Partitioned] departure means a member's adopted view degenerated to
@@ -188,9 +188,11 @@ let check_views cluster violations =
 
 let check cluster =
   let violations = ref [] in
-  let causal_ok = check_causal_order cluster violations in
-  let atomicity_ok = check_atomicity cluster violations in
-  let zombie_ok = check_no_zombie cluster violations in
+  (* The log is rebuilt from its column chunks on every read: read it once. *)
+  let deliveries = Urcgc.Cluster.deliveries cluster in
+  let causal_ok = check_causal_order cluster deliveries violations in
+  let atomicity_ok = check_atomicity cluster deliveries violations in
+  let zombie_ok = check_no_zombie cluster deliveries violations in
   let views_ok = check_views cluster violations in
   let partition_ok = check_partition cluster violations in
   {

@@ -580,21 +580,6 @@ let of_campaign_spec ?(window_subruns = 2) (spec : Campaign.spec) =
 
 (* -- deterministic JSON ------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | ch when Char.code ch < 0x20 ->
-          Printf.bprintf b "\\u%04x" (Char.code ch)
-      | ch -> Buffer.add_char b ch)
-    s;
-  Buffer.contents b
-
 let bool_str v = if v then "true" else "false"
 
 let to_json r =
@@ -632,27 +617,23 @@ let to_json r =
     (bool_str s.Sim.Explore.truncated);
   Printf.bprintf b
     ",\"verdict\":{\"ok\":%s,\"schedules_with_violations\":%d,\
-     \"distinct_violations\":[%s]}"
+     \"distinct_violations\":"
     (bool_str (ok r))
-    r.schedules_with_violations
-    (String.concat ","
-       (List.map
-          (fun v -> Printf.sprintf "\"%s\"" (json_escape v))
-          r.distinct_violations));
+    r.schedules_with_violations;
+  Sim.Json.buf_string_list b r.distinct_violations;
+  Buffer.add_char b '}';
   Printf.bprintf b ",\"oracle\":{\"checked\":%d,\"disagreements\":%d}"
     r.oracle_checked r.oracle_disagreements;
   (match r.counterexample with
   | None -> ()
   | Some cx ->
       Printf.bprintf b
-        ",\"counterexample\":{\"schedule\":[%s],\"violations\":[%s],\
-         \"repro\":\"%s\"}"
-        (String.concat "," (List.map string_of_int cx.cx_schedule))
-        (String.concat ","
-           (List.map
-              (fun v -> Printf.sprintf "\"%s\"" (json_escape v))
-              cx.cx_violations))
-        (json_escape (repro_command c ~schedule:cx.cx_schedule)));
+        ",\"counterexample\":{\"schedule\":[%s],\"violations\":"
+        (String.concat "," (List.map string_of_int cx.cx_schedule));
+      Sim.Json.buf_string_list b cx.cx_violations;
+      Buffer.add_string b ",\"repro\":";
+      Sim.Json.buf_string b (repro_command c ~schedule:cx.cx_schedule);
+      Buffer.add_char b '}');
   Buffer.add_char b '}';
   Buffer.contents b
 

@@ -83,14 +83,17 @@ let run ?tracer ?(metrics = Sim.Metrics.null) (scenario : Scenario.t) =
   | Some trace when Sim.Trace.enabled trace ->
       net_set_trace trace;
       (* Narrate the fail-stop schedule: one Crash event at each scheduled
-         time.  The callbacks touch only the trace sink, so enabling tracing
+         time.  The handler touches only the trace sink, so enabling tracing
          cannot perturb the run itself. *)
+      let crash =
+        Sim.Engine.register engine ~label:"event" (fun node ->
+            Sim.Trace.emit trace ~time:(Sim.Engine.now engine)
+              (Sim.Trace.Crash { node }))
+      in
       List.iter
         (fun (node, time) ->
-          ignore
-            (Sim.Engine.schedule_after engine ~delay:time (fun () ->
-                 Sim.Trace.emit trace ~time
-                   (Sim.Trace.Crash { node = Net.Node_id.to_int node }))))
+          Sim.Engine.post_after engine crash ~delay:time
+            (Net.Node_id.to_int node))
         scenario.fault.Net.Fault.crashes
   | Some _ | None -> ());
   let medium =

@@ -11,11 +11,12 @@ let engine_properties =
       (fun times ->
         let engine = Sim.Engine.create () in
         let fired = ref [] in
+        let kind =
+          Sim.Engine.register engine ~label:"time" (fun t ->
+              fired := t :: !fired)
+        in
         List.iter
-          (fun t ->
-            ignore
-              (Sim.Engine.schedule engine ~at:(Sim.Ticks.of_int t) (fun () ->
-                   fired := t :: !fired)))
+          (fun t -> Sim.Engine.post engine kind ~at:(Sim.Ticks.of_int t) t)
           times;
         Sim.Engine.run engine;
         let fired = List.rev !fired in
@@ -27,11 +28,13 @@ let engine_properties =
         let run () =
           let engine = Sim.Engine.create () in
           let log = ref [] in
+          let kind =
+            Sim.Engine.register engine ~label:"job" (fun v ->
+                log := (Sim.Ticks.to_int (Sim.Engine.now engine), v) :: !log)
+          in
           List.iter
             (fun (t, v) ->
-              ignore
-                (Sim.Engine.schedule engine ~at:(Sim.Ticks.of_int t) (fun () ->
-                     log := (t, v) :: !log)))
+              Sim.Engine.post engine kind ~at:(Sim.Ticks.of_int t) v)
             jobs;
           Sim.Engine.run engine;
           List.rev !log

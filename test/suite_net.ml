@@ -345,6 +345,39 @@ let transport_tests =
           ();
         Sim.Engine.run engine;
         Alcotest.(check int) "confirmed with 1 of 2" 1 !confirmed);
+    Alcotest.test_case "confirms every request exactly once" `Quick (fun () ->
+        (* Lossy links, h = |dsts|, and a retry interval shorter than the
+           round trip with a budget of one retry: a request is confirmed by
+           its last ack before the budget runs out or with partial acks when
+           it does, and the acks of its retransmitted copies arrive after
+           either.  Every path must confirm once and only once. *)
+        let spec = { Net.Fault.reliable with link_loss = 0.3 } in
+        let engine, transport =
+          make_transport ~spec ~retry_interval:(Sim.Ticks.of_int 60)
+            ~max_retries:1 ~seed:7 ()
+        in
+        List.iter
+          (fun i ->
+            Net.Transport.attach transport (node i) (fun ~src:_ () -> ()))
+          [ 0; 1; 2; 3 ];
+        let requests = 200 in
+        let confirms = Array.make requests 0 in
+        let full = ref 0 and partial = ref 0 in
+        for i = 0 to requests - 1 do
+          Net.Transport.request transport ~src:(node 0)
+            ~dsts:[ node 1; node 2; node 3 ] ~h:3 ~kind:Net.Traffic.Data
+            ~size:10
+            ~on_confirm:(fun ~acked ->
+              confirms.(i) <- confirms.(i) + 1;
+              incr (if acked = 3 then full else partial))
+            ()
+        done;
+        Sim.Engine.run engine;
+        Alcotest.(check (list int)) "one confirmation per request" []
+          (List.filter (( <> ) 1) (Array.to_list confirms));
+        Alcotest.(check bool) "some confirmed by acks" true (!full > 0);
+        Alcotest.(check bool) "some by an exhausted budget" true
+          (!partial > 0));
     Alcotest.test_case "validates h and dsts" `Quick (fun () ->
         let _, transport = make_transport ~seed:5 () in
         Alcotest.check_raises "empty"

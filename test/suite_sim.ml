@@ -31,111 +31,48 @@ let ticks_tests =
         Alcotest.(check bool) "eq" true (equal (of_int 7) (of_int 7)));
   ]
 
+(* Values popped with [pop_top] until the heap is empty. *)
+let drain h =
+  let rec loop acc =
+    if Sim.Heap.is_empty h then List.rev acc
+    else loop (Sim.Heap.pop_top h :: acc)
+  in
+  loop []
+
 let heap_tests =
   [
     Alcotest.test_case "empty heap" `Quick (fun () ->
-        let h : int Sim.Heap.t = Sim.Heap.create () in
+        let h = Sim.Heap.create () in
         Alcotest.(check bool) "empty" true (Sim.Heap.is_empty h);
-        Alcotest.(check (option unit)) "no peek" None
-          (Option.map (fun _ -> ()) (Sim.Heap.peek h));
-        Alcotest.(check (option unit)) "no pop" None
-          (Option.map (fun _ -> ()) (Sim.Heap.pop h)));
+        Alcotest.check_raises "no top"
+          (Invalid_argument "Heap.top_time: empty heap") (fun () ->
+            ignore (Sim.Heap.top_time h));
+        Alcotest.check_raises "no pop"
+          (Invalid_argument "Heap.pop_top: empty heap") (fun () ->
+            ignore (Sim.Heap.pop_top h)));
     Alcotest.test_case "pops in time order" `Quick (fun () ->
         let h = Sim.Heap.create () in
         List.iteri
           (fun i time ->
             Sim.Heap.push h ~time:(Sim.Ticks.of_int time) ~seq:i time)
           [ 30; 10; 20; 5; 25 ];
-        let order = ref [] in
-        let rec drain () =
-          match Sim.Heap.pop h with
-          | None -> ()
-          | Some (_, _, v) ->
-              order := v :: !order;
-              drain ()
-        in
-        drain ();
-        Alcotest.(check (list int)) "sorted" [ 5; 10; 20; 25; 30 ]
-          (List.rev !order));
+        Alcotest.(check int) "top time" 5
+          (Sim.Ticks.to_int (Sim.Heap.top_time h));
+        Alcotest.(check (list int)) "sorted" [ 5; 10; 20; 25; 30 ] (drain h));
     Alcotest.test_case "equal times break ties by seq" `Quick (fun () ->
         let h = Sim.Heap.create () in
         List.iteri
           (fun i v -> Sim.Heap.push h ~time:(Sim.Ticks.of_int 7) ~seq:i v)
-          [ "a"; "b"; "c" ];
-        let pop () =
-          match Sim.Heap.pop h with Some (_, _, v) -> v | None -> "?"
-        in
-        (* bind explicitly: list literals evaluate right to left *)
-        let first = pop () in
-        let second = pop () in
-        let third = pop () in
-        Alcotest.(check (list string)) "fifo at same time" [ "a"; "b"; "c" ]
-          [ first; second; third ]);
+          [ 3; 1; 2 ];
+        Alcotest.(check (list int)) "fifo at same time" [ 3; 1; 2 ] (drain h));
     Alcotest.test_case "length tracks push/pop" `Quick (fun () ->
         let h = Sim.Heap.create () in
         for i = 1 to 100 do
           Sim.Heap.push h ~time:(Sim.Ticks.of_int (i mod 10)) ~seq:i i
         done;
         Alcotest.(check int) "100" 100 (Sim.Heap.length h);
-        ignore (Sim.Heap.pop h);
-        Alcotest.(check int) "99" 99 (Sim.Heap.length h);
-        Sim.Heap.clear h;
-        Alcotest.(check int) "0" 0 (Sim.Heap.length h));
-    Alcotest.test_case "push after clear keeps working in order" `Quick
-      (fun () ->
-        let h = Sim.Heap.create () in
-        for i = 1 to 50 do
-          Sim.Heap.push h ~time:(Sim.Ticks.of_int i) ~seq:i i
-        done;
-        Sim.Heap.clear h;
-        Alcotest.(check bool) "empty after clear" true (Sim.Heap.is_empty h);
-        Alcotest.(check (option unit)) "no peek" None
-          (Option.map (fun _ -> ()) (Sim.Heap.peek h));
-        List.iteri
-          (fun i time ->
-            Sim.Heap.push h ~time:(Sim.Ticks.of_int time) ~seq:i time)
-          [ 9; 3; 7; 1; 5 ];
-        let rec drain acc =
-          match Sim.Heap.pop h with
-          | None -> List.rev acc
-          | Some (_, _, v) -> drain (v :: acc)
-        in
-        Alcotest.(check (list int)) "sorted after clear" [ 1; 3; 5; 7; 9 ]
-          (drain []));
-    Alcotest.test_case "clear and pop release stored entries" `Quick (fun () ->
-        (* The backing array survives clear (capacity is kept), but the
-           entries must not: anything pushed is unreachable afterwards. *)
-        let h = Sim.Heap.create () in
-        let count = 12 in
-        let weak = Weak.create (2 * count) in
-        for i = 0 to count - 1 do
-          let v = Bytes.make 32 (Char.chr (65 + (i mod 26))) in
-          Weak.set weak i (Some v);
-          Sim.Heap.push h ~time:(Sim.Ticks.of_int i) ~seq:i v
-        done;
-        Sim.Heap.clear h;
-        Gc.full_major ();
-        for i = 0 to count - 1 do
-          Alcotest.(check bool)
-            (Printf.sprintf "cleared entry %d released" i)
-            false (Weak.check weak i)
-        done;
-        (* Same for pop: a drained heap keeps no reference to its values. *)
-        for i = 0 to count - 1 do
-          let v = Bytes.make 32 (Char.chr (97 + (i mod 26))) in
-          Weak.set weak (count + i) (Some v);
-          Sim.Heap.push h ~time:(Sim.Ticks.of_int i) ~seq:i v
-        done;
-        while not (Sim.Heap.is_empty h) do
-          ignore (Sim.Heap.pop h)
-        done;
-        Gc.full_major ();
-        for i = 0 to count - 1 do
-          Alcotest.(check bool)
-            (Printf.sprintf "popped entry %d released" i)
-            false
-            (Weak.check weak (count + i))
-        done);
+        ignore (Sim.Heap.pop_top h);
+        Alcotest.(check int) "99" 99 (Sim.Heap.length h));
   ]
 
 let heap_property =
@@ -146,14 +83,14 @@ let heap_property =
       List.iteri
         (fun i (t, v) -> Sim.Heap.push h ~time:(Sim.Ticks.of_int t) ~seq:i v)
         pairs;
-      let rec drain last acc =
-        match Sim.Heap.pop h with
-        | None -> acc
-        | Some (time, _, _) ->
-            let t = Sim.Ticks.to_int time in
-            if t < last then false else drain t acc
+      let rec check last =
+        Sim.Heap.is_empty h
+        ||
+        let t = Sim.Ticks.to_int (Sim.Heap.top_time h) in
+        ignore (Sim.Heap.pop_top h);
+        t >= last && check t
       in
-      drain min_int true)
+      check min_int)
 
 let rng_tests =
   [
@@ -292,199 +229,157 @@ let rng_tests =
           [ 0; 1; 7; 42; 123456789; max_int; min_int; -1 ]);
   ]
 
+(* An engine with one kind whose events log their argument. *)
+let logging_engine () =
+  let engine = Sim.Engine.create () in
+  let log = ref [] in
+  let kind =
+    Sim.Engine.register engine ~label:"log" (fun v -> log := v :: !log)
+  in
+  (engine, kind, fun () -> List.rev !log)
+
 let engine_tests =
   [
     Alcotest.test_case "runs events in time order" `Quick (fun () ->
-        let engine = Sim.Engine.create () in
-        let log = ref [] in
-        let at t v =
-          ignore
-            (Sim.Engine.schedule engine ~at:(Sim.Ticks.of_int t) (fun () ->
-                 log := v :: !log))
-        in
-        at 30 "c";
-        at 10 "a";
-        at 20 "b";
+        let engine, kind, log = logging_engine () in
+        List.iter
+          (fun t -> Sim.Engine.post engine kind ~at:(Sim.Ticks.of_int t) t)
+          [ 30; 10; 20 ];
         Sim.Engine.run engine;
-        Alcotest.(check (list string)) "order" [ "a"; "b"; "c" ] (List.rev !log));
+        Alcotest.(check (list int)) "order" [ 10; 20; 30 ] (log ()));
     Alcotest.test_case "same-time events run in scheduling order" `Quick
       (fun () ->
-        let engine = Sim.Engine.create () in
-        let log = ref [] in
+        let engine, kind, log = logging_engine () in
         List.iter
-          (fun v ->
-            ignore
-              (Sim.Engine.schedule engine ~at:(Sim.Ticks.of_int 5) (fun () ->
-                   log := v :: !log)))
+          (fun v -> Sim.Engine.post engine kind ~at:(Sim.Ticks.of_int 5) v)
           [ 1; 2; 3; 4 ];
         Sim.Engine.run engine;
-        Alcotest.(check (list int)) "fifo" [ 1; 2; 3; 4 ] (List.rev !log));
+        Alcotest.(check (list int)) "fifo" [ 1; 2; 3; 4 ] (log ()));
     Alcotest.test_case "now advances to event time" `Quick (fun () ->
         let engine = Sim.Engine.create () in
         let seen = ref (-1) in
-        ignore
-          (Sim.Engine.schedule engine ~at:(Sim.Ticks.of_int 42) (fun () ->
-               seen := Sim.Ticks.to_int (Sim.Engine.now engine)));
+        let kind =
+          Sim.Engine.register engine ~label:"now" (fun _ ->
+              seen := Sim.Ticks.to_int (Sim.Engine.now engine))
+        in
+        Sim.Engine.post engine kind ~at:(Sim.Ticks.of_int 42) 0;
         Sim.Engine.run engine;
         Alcotest.(check int) "42" 42 !seen);
     Alcotest.test_case "cannot schedule in the past" `Quick (fun () ->
-        let engine = Sim.Engine.create () in
-        ignore (Sim.Engine.schedule engine ~at:(Sim.Ticks.of_int 10) (fun () -> ()));
+        let engine, kind, _ = logging_engine () in
+        Sim.Engine.post engine kind ~at:(Sim.Ticks.of_int 10) 0;
         Sim.Engine.run engine;
         Alcotest.check_raises "past"
-          (Invalid_argument "Engine.schedule: event in the past") (fun () ->
-            ignore
-              (Sim.Engine.schedule engine ~at:(Sim.Ticks.of_int 5) (fun () -> ()))));
-    Alcotest.test_case "cancel prevents execution" `Quick (fun () ->
-        let engine = Sim.Engine.create () in
-        let fired = ref false in
-        let handle =
-          Sim.Engine.schedule engine ~at:(Sim.Ticks.of_int 10) (fun () ->
-              fired := true)
-        in
-        Sim.Engine.cancel handle;
-        Sim.Engine.run engine;
-        Alcotest.(check bool) "not fired" false !fired);
+          (Invalid_argument "Engine.post: event in the past") (fun () ->
+            Sim.Engine.post engine kind ~at:(Sim.Ticks.of_int 5) 0));
+    Alcotest.test_case "post rejects a foreign kind and a bad argument" `Quick
+      (fun () ->
+        let engine, kind, _ = logging_engine () in
+        let other, _, _ = logging_engine () in
+        let at = Sim.Ticks.of_int 1 in
+        Alcotest.check_raises "foreign kind"
+          (Invalid_argument "Engine.post: kind of another engine") (fun () ->
+            Sim.Engine.post other kind ~at 0);
+        Alcotest.check_raises "negative argument"
+          (Invalid_argument "Engine.post: argument out of range") (fun () ->
+            Sim.Engine.post engine kind ~at (-1));
+        Alcotest.check_raises "argument too large"
+          (Invalid_argument "Engine.post: argument out of range") (fun () ->
+            Sim.Engine.post engine kind ~at ((max_int lsr 10) + 1));
+        Alcotest.(check int) "nothing queued" 0 (Sim.Engine.pending engine));
     Alcotest.test_case "run ~until leaves later events queued" `Quick (fun () ->
-        let engine = Sim.Engine.create () in
-        let fired = ref [] in
-        let at t =
-          ignore
-            (Sim.Engine.schedule engine ~at:(Sim.Ticks.of_int t) (fun () ->
-                 fired := t :: !fired))
-        in
-        at 10;
-        at 90;
+        let engine, kind, log = logging_engine () in
+        Sim.Engine.post engine kind ~at:(Sim.Ticks.of_int 10) 10;
+        Sim.Engine.post engine kind ~at:(Sim.Ticks.of_int 90) 90;
         Sim.Engine.run engine ~until:(Sim.Ticks.of_int 50);
-        Alcotest.(check (list int)) "only early" [ 10 ] (List.rev !fired);
+        Alcotest.(check (list int)) "only early" [ 10 ] (log ());
         Alcotest.(check int) "clock at limit" 50
           (Sim.Ticks.to_int (Sim.Engine.now engine));
         Alcotest.(check int) "one pending" 1 (Sim.Engine.pending engine);
         Sim.Engine.run engine;
-        Alcotest.(check (list int)) "rest runs" [ 10; 90 ] (List.rev !fired));
+        Alcotest.(check (list int)) "rest runs" [ 10; 90 ] (log ()));
     Alcotest.test_case "events can schedule events" `Quick (fun () ->
         let engine = Sim.Engine.create () in
         let count = ref 0 in
-        let rec chain n =
-          if n > 0 then
-            ignore
-              (Sim.Engine.schedule_after engine ~delay:(Sim.Ticks.of_int 1)
-                 (fun () ->
-                   incr count;
-                   chain (n - 1)))
-        in
-        chain 10;
+        (* Each link posts the next one tick later, counting down. *)
+        let rec link n =
+          incr count;
+          if n > 1 then
+            Sim.Engine.post_after engine (Lazy.force kind)
+              ~delay:(Sim.Ticks.of_int 1) (n - 1)
+        and kind = lazy (Sim.Engine.register engine ~label:"chain" link) in
+        Sim.Engine.post_after engine (Lazy.force kind)
+          ~delay:(Sim.Ticks.of_int 1) 10;
         Sim.Engine.run engine;
         Alcotest.(check int) "10 links" 10 !count;
         Alcotest.(check int) "clock 10" 10
           (Sim.Ticks.to_int (Sim.Engine.now engine)));
-    Alcotest.test_case "stop interrupts run" `Quick (fun () ->
-        let engine = Sim.Engine.create () in
-        let count = ref 0 in
-        for i = 1 to 10 do
-          ignore
-            (Sim.Engine.schedule engine ~at:(Sim.Ticks.of_int i) (fun () ->
-                 incr count;
-                 if !count = 3 then Sim.Engine.stop engine))
-        done;
-        Sim.Engine.run engine;
-        Alcotest.(check int) "stopped at 3" 3 !count);
     Alcotest.test_case "step returns false when empty" `Quick (fun () ->
         let engine = Sim.Engine.create () in
         Alcotest.(check bool) "empty" false (Sim.Engine.step engine));
   ]
 
-(* Typed and closure events share one (time, scheduling order) sequence.
-   Each generated event is a closure or a typed event of kind A or B, at a
-   time in [0, 20]; a closure may be cancelled before the run; any event
-   may, when it fires, cancel one of the initial events and schedule one
-   child after a delay.  The engine's firing order must equal a naive
-   reference that sorts pending events by (time, scheduling order). *)
-type form = Closure | Kind_a | Kind_b
+(* Events of two kinds share one (time, posting order) sequence.  Each
+   generated event is of kind A or B, at a time in [0, 20], and may, when
+   it fires, post one child of either kind after a delay.  The engine's
+   firing order, with the kind that ran each event, must equal a naive
+   reference that sorts pending events by (time, posting order). *)
+type form = Kind_a | Kind_b
 
 type spec = {
   at : int;
   form : form;
-  cancelled : bool;  (* before the run; closures only *)
-  cancels : int option;  (* an initial event, cancelled when this fires *)
-  child : (int * form) option;  (* delay and form, scheduled when this fires *)
+  child : (int * form) option;  (* delay and form, posted when this fires *)
 }
 
 let spec_gen =
   QCheck.Gen.(
-    let form = oneofl [ Closure; Kind_a; Kind_b ] in
-    (* Some with probability 1/k. *)
-    let sometimes k gen =
-      map2 (fun roll v -> if roll = 0 then Some v else None) (int_bound (k - 1)) gen
+    let form = oneofl [ Kind_a; Kind_b ] in
+    (* A child with probability 1/3. *)
+    let child =
+      map2
+        (fun roll v -> if roll = 0 then Some v else None)
+        (int_bound 2)
+        (pair (int_bound 5) form)
     in
     list_size (int_bound 40)
       (map
-         (fun ((at, form, cancelled), (cancels, child)) ->
-           { at; form; cancelled = cancelled && form = Closure; cancels; child })
-         (pair
-            (triple (int_bound 20) form (map (fun k -> k = 0) (int_bound 3)))
-            (pair
-               (sometimes 5 (int_bound 39))
-               (sometimes 3 (pair (int_bound 5) form))))))
+         (fun (at, form, child) -> { at; form; child })
+         (triple (int_bound 20) form child)))
 
-(* Fired event ids, in order, from the engine. *)
+(* Fired (id, kind) pairs, in order, from the engine.  An event's id is its
+   posting order; only initial events have children. *)
 let engine_order specs =
   let specs = Array.of_list specs in
   let engine = Sim.Engine.create () in
   let fired = ref [] in
-  let handles = Hashtbl.create 16 in
-  (* Per id: what firing it does.  Children do nothing more. *)
-  let effects = Hashtbl.create 16 in
   let next_id = ref (Array.length specs) in
-  let rec fire id =
-    fired := id :: !fired;
-    match Hashtbl.find_opt effects id with
-    | None -> ()
-    | Some (cancels, child) -> (
-        Option.iter
-          (fun j ->
-            if j < Array.length specs then
-              Option.iter Sim.Engine.cancel (Hashtbl.find_opt handles j))
-          cancels;
-        match child with
-        | None -> ()
-        | Some (delay, form) ->
-            let id = !next_id in
-            incr next_id;
-            schedule ~at:(Sim.Ticks.to_int (Sim.Engine.now engine) + delay) form id)
-  and schedule ~at form id =
-    let at = Sim.Ticks.of_int at in
-    match form with
-    | Closure ->
-        Hashtbl.replace handles id
-          (Sim.Engine.schedule engine ~at (fun () -> fire id))
-    | Kind_a -> Sim.Engine.post engine (Lazy.force kind_a) ~at id
-    | Kind_b -> Sim.Engine.post engine (Lazy.force kind_b) ~at id
-  and kind_a = lazy (Sim.Engine.register engine ~label:"a" fire)
-  and kind_b = lazy (Sim.Engine.register engine ~label:"b" fire) in
-  Array.iteri
-    (fun id spec ->
-      Hashtbl.replace effects id (spec.cancels, spec.child);
-      schedule ~at:spec.at spec.form id)
-    specs;
-  Array.iteri
-    (fun id spec ->
-      if spec.cancelled then Sim.Engine.cancel (Hashtbl.find handles id))
-    specs;
+  let rec fire form id =
+    fired := (id, form) :: !fired;
+    if id < Array.length specs then
+      Option.iter
+        (fun (delay, form) ->
+          let child = !next_id in
+          incr next_id;
+          let now = Sim.Ticks.to_int (Sim.Engine.now engine) in
+          post ~at:(now + delay) form child)
+        specs.(id).child
+  and post ~at form id =
+    let kind = match form with Kind_a -> kind_a | Kind_b -> kind_b in
+    Sim.Engine.post engine (Lazy.force kind) ~at:(Sim.Ticks.of_int at) id
+  and kind_a = lazy (Sim.Engine.register engine ~label:"a" (fire Kind_a))
+  and kind_b = lazy (Sim.Engine.register engine ~label:"b" (fire Kind_b)) in
+  Array.iteri (fun id spec -> post ~at:spec.at spec.form id) specs;
   Sim.Engine.run engine;
   List.rev !fired
 
 let reference_order specs =
   let specs = Array.of_list specs in
   let initial = Array.length specs in
-  (* (time, id, form): an event's id is its scheduling order. *)
+  (* (time, id, form) *)
   let pending =
     ref (List.mapi (fun id spec -> (spec.at, id, spec.form)) (Array.to_list specs))
   in
-  let cancelled = Hashtbl.create 16 in
-  Array.iteri
-    (fun id spec -> if spec.cancelled then Hashtbl.replace cancelled id ())
-    specs;
   let next = ref initial in
   let fired = ref [] in
   let rec loop () =
@@ -492,40 +387,25 @@ let reference_order specs =
     | [] -> ()
     | (time, id, form) :: rest ->
         pending := rest;
-        if not (form = Closure && Hashtbl.mem cancelled id) then begin
-          fired := id :: !fired;
-          if id < initial then begin
-            let spec = specs.(id) in
-            Option.iter
-              (fun j ->
-                if j < initial && specs.(j).form = Closure then
-                  Hashtbl.replace cancelled j ())
-              spec.cancels;
-            Option.iter
-              (fun (delay, form) ->
-                pending := (time + delay, !next, form) :: !pending;
-                incr next)
-              spec.child
-          end
-        end;
+        fired := (id, form) :: !fired;
+        if id < initial then
+          Option.iter
+            (fun (delay, form) ->
+              pending := (time + delay, !next, form) :: !pending;
+              incr next)
+            specs.(id).child;
         loop ()
   in
   loop ();
   List.rev !fired
 
 let engine_property =
-  QCheck.Test.make
-    ~name:"typed and closure events fire in (time, scheduling order)"
+  QCheck.Test.make ~name:"events of two kinds fire in (time, posting order)"
     ~count:300
     (QCheck.make
        ~print:(fun specs -> Printf.sprintf "%d events" (List.length specs))
        spec_gen)
-    (fun specs ->
-      let fired = engine_order specs in
-      let never_cancelled id =
-        id >= List.length specs || not (List.nth specs id).cancelled
-      in
-      fired = reference_order specs && List.for_all never_cancelled fired)
+    (fun specs -> engine_order specs = reference_order specs)
 
 (* Free-form narration goes into the typed trace as Note events. *)
 let message (r : Sim.Trace.record) = Sim.Trace.event_message r.Sim.Trace.event
