@@ -32,15 +32,15 @@ let measure_urgc ~rate =
   let fault = Net.Fault.create Net.Fault.reliable ~rng:(Sim.Rng.split rng) in
   let net = Net.Netsim.create engine ~fault ~rng:(Sim.Rng.split rng) () in
   let cluster = Urgc.Cluster.create ~n ~k ~net () in
+  let group = Urgc.Cluster.group cluster in
   let load = Workload.Load.make ~rate ~total_messages:messages () in
-  let injector =
-    Workload.Load.injector load ~rng (Urgc.Cluster.group cluster)
-      ~submit:(fun node id -> Urgc.Cluster.submit cluster node id)
-  in
-  Urgc.Cluster.on_round cluster (Workload.Load.inject injector);
-  Urgc.Cluster.start cluster;
-  Net.Group.run (Urgc.Cluster.group cluster) ~max_rtd:200.0 ~until:(fun () ->
-      Workload.Load.cap_reached injector && Urgc.Cluster.quiescent cluster);
+  Workload.Load.drive
+    (Workload.Load.injector load ~rng group ~submit:(fun node id ->
+         Urgc.Cluster.submit cluster node id))
+    group
+    ~start:(fun () -> Urgc.Cluster.start cluster)
+    ~quiescent:(fun () -> Urgc.Cluster.quiescent cluster)
+    ~max_rtd:200.0;
   if not (Urgc.Cluster.total_order_ok cluster) then
     Format.printf "  !! total-order violation at rate %.2f@." rate;
   let sent_at = Hashtbl.create 256 in

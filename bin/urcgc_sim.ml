@@ -125,26 +125,26 @@ let cli_guard f =
       Format.eprintf "urcgc_sim: %s@." msg;
       2
 
+(* The fault spec of [--omission] and [--crash]: a crash at subrun s strikes
+   one tick into it. *)
+let fault_spec omission crashes =
+  Net.Fault.with_crashes
+    (List.map
+       (fun (node, subrun) ->
+         (node, Sim.Ticks.of_int ((subrun * Sim.Ticks.per_rtd) + 1)))
+       crashes)
+    (match omission with
+    | Some every -> Net.Fault.omission_every every
+    | None -> Net.Fault.reliable)
+
 let cli_scenario ~name n k rate messages omission crashes flow seed codec
     max_rtd =
   let flow_threshold = if flow then Some (Some (8 * n)) else None in
   let config = Urcgc.Config.make ~k ?flow_threshold ~n () in
   let load = Workload.Load.make ~rate ~total_messages:messages () in
-  let fault =
-    let base =
-      match omission with
-      | Some every -> Net.Fault.omission_every every
-      | None -> Net.Fault.reliable
-    in
-    Net.Fault.with_crashes
-      (List.map
-         (fun (node, subrun) ->
-           (node, Sim.Ticks.of_int ((subrun * Sim.Ticks.per_rtd) + 1)))
-         crashes)
-      base
-  in
-  Workload.Scenario.make ~name ~fault ~codec_boundary:codec ~seed ~max_rtd
-    ~config ~load ()
+  Workload.Scenario.make ~name
+    ~fault:(fault_spec omission crashes)
+    ~codec_boundary:codec ~seed ~max_rtd ~config ~load ()
 
 let run_scenario n k rate messages omission crashes flow seed trace codec
     max_rtd =
@@ -311,25 +311,15 @@ let analyze_cmd =
 let run_cbcast n k rate messages crashes seed trace max_rtd =
   cli_guard @@ fun () ->
   let load = Workload.Load.make ~rate ~total_messages:messages () in
-  let fault =
-    Net.Fault.with_crashes
-      (List.map
-         (fun (node, subrun) ->
-           (node, Sim.Ticks.of_int ((subrun * Sim.Ticks.per_rtd) + 1)))
-         crashes)
-      Net.Fault.reliable
-  in
   let tracer = if trace then Sim.Trace.create () else Sim.Trace.null in
   let report =
-    Workload.Runner_cbcast.run ~tracer ~n ~k ~load ~fault ~seed ~max_rtd ()
+    Workload.Runner_cbcast.run ~tracer ~n ~k ~load
+      ~fault:(fault_spec None crashes) ~seed ~max_rtd ()
   in
   if trace then Sim.Trace.dump Format.std_formatter tracer;
   Format.printf "%a@." Workload.Runner_cbcast.pp_report report;
-  if
-    report.Workload.Runner_cbcast.causal_ok
-    && report.Workload.Runner_cbcast.atomicity_ok
-  then 0
-  else 1
+  Workload.Runner_cbcast.(
+    if report.causal_ok && report.atomicity_ok then 0 else 1)
 
 let cbcast_cmd =
   let term =
@@ -344,22 +334,10 @@ let cbcast_cmd =
 let run_psync n k rate messages omission crashes seed trace max_rtd =
   cli_guard @@ fun () ->
   let load = Workload.Load.make ~rate ~total_messages:messages () in
-  let fault =
-    let base =
-      match omission with
-      | Some every -> Net.Fault.omission_every every
-      | None -> Net.Fault.reliable
-    in
-    Net.Fault.with_crashes
-      (List.map
-         (fun (node, subrun) ->
-           (node, Sim.Ticks.of_int ((subrun * Sim.Ticks.per_rtd) + 1)))
-         crashes)
-      base
-  in
   let tracer = if trace then Sim.Trace.create () else Sim.Trace.null in
   let report =
-    Workload.Runner_psync.run ~tracer ~n ~k ~load ~fault ~seed ~max_rtd ()
+    Workload.Runner_psync.run ~tracer ~n ~k ~load
+      ~fault:(fault_spec omission crashes) ~seed ~max_rtd ()
   in
   if trace then Sim.Trace.dump Format.std_formatter tracer;
   Format.printf "%a@." Workload.Runner_psync.pp_report report;
@@ -379,31 +357,20 @@ let run_urgc n k rate messages omission crashes seed max_rtd =
   cli_guard @@ fun () ->
   let engine = Sim.Engine.create () in
   let rng = Sim.Rng.create ~seed in
-  let fault_spec =
-    let base =
-      match omission with
-      | Some every -> Net.Fault.omission_every every
-      | None -> Net.Fault.reliable
-    in
-    Net.Fault.with_crashes
-      (List.map
-         (fun (node, subrun) ->
-           (node, Sim.Ticks.of_int ((subrun * Sim.Ticks.per_rtd) + 1)))
-         crashes)
-      base
+  let fault =
+    Net.Fault.create (fault_spec omission crashes) ~rng:(Sim.Rng.split rng)
   in
-  let fault = Net.Fault.create fault_spec ~rng:(Sim.Rng.split rng) in
   let net = Net.Netsim.create engine ~fault ~rng:(Sim.Rng.split rng) () in
   let cluster = Urgc.Cluster.create ~n ~k ~net () in
+  let group = Urgc.Cluster.group cluster in
   let load = Workload.Load.make ~rate ~total_messages:messages () in
-  let injector =
-    Workload.Load.injector load ~rng (Urgc.Cluster.group cluster)
-      ~submit:(fun node id -> Urgc.Cluster.submit cluster node id)
-  in
-  Urgc.Cluster.on_round cluster (Workload.Load.inject injector);
-  Urgc.Cluster.start cluster;
-  Net.Group.run (Urgc.Cluster.group cluster) ~max_rtd ~until:(fun () ->
-      Workload.Load.cap_reached injector && Urgc.Cluster.quiescent cluster);
+  Workload.Load.drive
+    (Workload.Load.injector load ~rng group ~submit:(fun node id ->
+         Urgc.Cluster.submit cluster node id))
+    group
+    ~start:(fun () -> Urgc.Cluster.start cluster)
+    ~quiescent:(fun () -> Urgc.Cluster.quiescent cluster)
+    ~max_rtd;
   let ok = Urgc.Cluster.total_order_ok cluster in
   Format.printf
     "urgc: generated=%d processed events=%d over %d subruns; total order: %b@."

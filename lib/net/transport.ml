@@ -3,15 +3,16 @@ type 'msg frame =
       xid : int;
       origin : Node_id.t;
       frag : int;  (** fragment index, 0-based *)
-      frags : int;  (** total fragments of this request *)
       body : 'msg;
     }
   | Ack of { xid : int; frag : int }
 
-(* Per-destination reassembly/acknowledgement state of one request. *)
+(* One destination of one request: the sender's acknowledgement state and
+   the receiver's reassembly state side by side.  The body is delivered
+   when a new fragment completes [received]. *)
 type dst_state = {
-  mutable missing : bool array;  (** fragments not yet acknowledged *)
-  mutable complete : bool;
+  missing : bool array;  (** fragments not yet acknowledged *)
+  received : bool array;  (** fragments arrived at the destination *)
 }
 
 type 'msg pending = {
@@ -24,6 +25,8 @@ type 'msg pending = {
   per_dst : (int, dst_state) Hashtbl.t;
   mutable acked : int;  (** destinations fully acknowledged *)
   mutable retries_left : int;
+  mutable confirmed : bool;  (** [on_confirm] has fired *)
+  mutable last_sent : Sim.Ticks.t;  (** when the latest copy left *)
   on_confirm : acked:int -> unit;
 }
 
@@ -33,12 +36,10 @@ type 'msg t = {
   max_retries : int;
   mtu : int option;
   handlers : (Node_id.t, src:Node_id.t -> 'msg -> unit) Hashtbl.t;
-  (* Per-receiver reassembly: (origin, xid) -> fragments received, and
-     whether the body was already delivered. *)
-  reassembly : (Node_id.t, (int * int, bool array * bool ref) Hashtbl.t) Hashtbl.t;
-  (* Unconfirmed requests by xid: a request leaves on confirmation, so a
-     retry or an ack that finds no entry is late and does nothing. *)
-  pendings : (int, 'msg pending) Hashtbl.t;
+  (* Requests by xid, from [request] until no copy of one can still arrive
+     (see [expire]).  An ack for a confirmed request does nothing. *)
+  requests : (int, 'msg pending) Hashtbl.t;
+  max_latency : Sim.Ticks.t;
   retry_kind : Sim.Engine.kind;
   mutable next_xid : int;
   mutable retransmissions : int;
@@ -70,63 +71,48 @@ let fragment_sizes t total =
             fragment_header + min chunk remaining)
       end
 
-let reassembly_table t node =
-  match Hashtbl.find_opt t.reassembly node with
-  | Some table -> table
-  | None ->
-      let table = Hashtbl.create 256 in
-      Hashtbl.replace t.reassembly node table;
-      table
-
 let on_frame t node packet =
   match packet.Netsim.payload with
-  | Payload { xid; origin; frag; frags; body } ->
-      let table = reassembly_table t node in
-      let key = (Node_id.to_int origin, xid) in
-      let received, delivered =
-        match Hashtbl.find_opt table key with
-        | Some state -> state
-        | None ->
-            let state = (Array.make frags false, ref false) in
-            Hashtbl.replace table key state;
-            state
-      in
-      if frag >= 0 && frag < Array.length received then begin
-        received.(frag) <- true;
-        if (not !delivered) && Array.for_all Fun.id received then begin
-          delivered := true;
-          match Hashtbl.find_opt t.handlers node with
-          | Some handler -> handler ~src:origin body
-          | None -> ()
-        end
-      end;
+  | Payload { xid; origin; frag; body } ->
+      (match Hashtbl.find_opt t.requests xid with
+      | None -> ()
+      | Some pending ->
+          (* A copy reaches only its request's destinations. *)
+          let state = Hashtbl.find pending.per_dst (Node_id.to_int node) in
+          if
+            frag >= 0
+            && frag < Array.length state.received
+            && not state.received.(frag)
+          then begin
+            state.received.(frag) <- true;
+            if Array.for_all Fun.id state.received then
+              match Hashtbl.find_opt t.handlers node with
+              | Some handler -> handler ~src:origin body
+              | None -> ()
+          end);
       (* Always (re-)ack the fragment so a lost ack does not force a
          useless retransmission. *)
       Netsim.send t.net ~src:node ~dst:origin ~kind:Traffic.Ack ~size:ack_size
         (Ack { xid; frag })
   | Ack { xid; frag } -> (
-      match Hashtbl.find_opt t.pendings xid with
-      | None -> ()
-      | Some pending -> (
+      match Hashtbl.find_opt t.requests xid with
+      | Some pending when not pending.confirmed -> (
           let acker = Node_id.to_int packet.Netsim.src in
           match Hashtbl.find_opt pending.per_dst acker with
-          | None -> ()
-          | Some state ->
-              if
-                (not state.complete)
-                && frag >= 0
-                && frag < Array.length state.missing
-              then begin
-                state.missing.(frag) <- false;
-                if not (Array.exists Fun.id state.missing) then begin
-                  state.complete <- true;
-                  pending.acked <- pending.acked + 1;
-                  if pending.acked >= pending.h then begin
-                    Hashtbl.remove t.pendings xid;
-                    pending.on_confirm ~acked:pending.acked
-                  end
+          | Some state
+            when frag >= 0
+                 && frag < Array.length state.missing
+                 && state.missing.(frag) ->
+              state.missing.(frag) <- false;
+              if not (Array.exists Fun.id state.missing) then begin
+                pending.acked <- pending.acked + 1;
+                if pending.acked >= pending.h then begin
+                  pending.confirmed <- true;
+                  pending.on_confirm ~acked:pending.acked
                 end
-              end))
+              end
+          | Some _ | None -> ())
+      | Some _ | None -> ())
 
 let attach t node handler =
   if Hashtbl.mem t.handlers node then
@@ -136,45 +122,55 @@ let attach t node handler =
 
 let transmit t pending ~first =
   let frags = Array.length pending.frag_sizes in
+  pending.last_sent <- Sim.Engine.now (Netsim.engine t.net);
   Hashtbl.iter
     (fun dst_int state ->
-      if not state.complete then
-        Array.iteri
-          (fun frag missing ->
-            if missing then begin
-              if not first then t.retransmissions <- t.retransmissions + 1;
-              if frags > 1 then t.fragments_sent <- t.fragments_sent + 1;
-              Netsim.send t.net ~src:pending.src
-                ~dst:(Node_id.of_int dst_int) ~kind:pending.kind
-                ~size:pending.frag_sizes.(frag)
-                (Payload
-                   {
-                     xid = pending.xid;
-                     origin = pending.src;
-                     frag;
-                     frags;
-                     body = pending.body;
-                   })
-            end)
-          state.missing)
+      Array.iteri
+        (fun frag missing ->
+          if missing then begin
+            if not first then t.retransmissions <- t.retransmissions + 1;
+            if frags > 1 then t.fragments_sent <- t.fragments_sent + 1;
+            Netsim.send t.net ~src:pending.src ~dst:(Node_id.of_int dst_int)
+              ~kind:pending.kind ~size:pending.frag_sizes.(frag)
+              (Payload
+                 {
+                   xid = pending.xid;
+                   origin = pending.src;
+                   frag;
+                   body = pending.body;
+                 })
+          end)
+        state.missing)
     pending.per_dst
 
 let arm_retry t pending =
   Sim.Engine.post_after (Netsim.engine t.net) t.retry_kind
     ~delay:t.retry_interval pending.xid
 
+(* The request's retry event, still queued when it was confirmed, is also
+   its expiry: it drops the request once its last copies have landed.  A
+   copy sent at [last_sent] lands by [last_sent + max_latency], and an
+   event for that very tick posted after the send runs after the copy. *)
+let expire t pending =
+  let quiet = Sim.Ticks.add pending.last_sent t.max_latency in
+  if Sim.Ticks.(Sim.Engine.now (Netsim.engine t.net) < quiet) then
+    Sim.Engine.post (Netsim.engine t.net) t.retry_kind ~at:quiet pending.xid
+  else Hashtbl.remove t.requests pending.xid
+
 let retry t xid =
-  match Hashtbl.find_opt t.pendings xid with
+  match Hashtbl.find_opt t.requests xid with
   | None -> ()
   | Some pending ->
-      if pending.retries_left > 0 then begin
+      if pending.confirmed then expire t pending
+      else if pending.retries_left > 0 then begin
         pending.retries_left <- pending.retries_left - 1;
         transmit t pending ~first:false;
         arm_retry t pending
       end
       else begin
         (* The primitive never fails: confirm with whatever we got. *)
-        Hashtbl.remove t.pendings xid;
+        pending.confirmed <- true;
+        expire t pending;
         pending.on_confirm ~acked:pending.acked
       end
 
@@ -190,6 +186,7 @@ let create ?latency ?retry_interval ?max_retries ?mtu engine ~fault ~rng () =
   (* The transport does not exist yet when its retry kind is registered. *)
   let retry_to = ref ignore in
   let net = Netsim.create ?latency engine ~fault ~rng () in
+  let latency = Option.value latency ~default:Netsim.default_latency in
   let t =
     {
       net;
@@ -197,8 +194,10 @@ let create ?latency ?retry_interval ?max_retries ?mtu engine ~fault ~rng () =
       max_retries;
       mtu;
       handlers = Hashtbl.create 64;
-      reassembly = Hashtbl.create 64;
-      pendings = Hashtbl.create 64;
+      requests = Hashtbl.create 64;
+      max_latency =
+        Sim.Ticks.add latency.Netsim.base
+          (Sim.Ticks.of_int (max 0 (latency.Netsim.jitter - 1)));
       retry_kind =
         Sim.Engine.register engine ~label:"net.retry" (fun xid ->
             !retry_to xid);
@@ -223,7 +222,7 @@ let request t ~src ~dsts ~h ~kind ~size ~on_confirm body =
       Hashtbl.replace per_dst (Node_id.to_int dst)
         {
           missing = Array.make (Array.length frag_sizes) true;
-          complete = false;
+          received = Array.make (Array.length frag_sizes) false;
         })
     dsts;
   let pending =
@@ -237,9 +236,11 @@ let request t ~src ~dsts ~h ~kind ~size ~on_confirm body =
       per_dst;
       acked = 0;
       retries_left = t.max_retries;
+      confirmed = false;
+      last_sent = Sim.Ticks.zero;
       on_confirm;
     }
   in
-  Hashtbl.replace t.pendings xid pending;
+  Hashtbl.replace t.requests xid pending;
   transmit t pending ~first:true;
   arm_retry t pending

@@ -38,9 +38,12 @@ val create :
 
 val attach : 'msg t -> Node_id.t -> (src:Node_id.t -> 'msg -> unit) -> unit
 (** Registers the [t.data.Ind] handler of a node.  Duplicate transmissions of
-    the same request are suppressed.  Every node that issues requests must
-    also be attached: acknowledgements are addressed to the source node and
-    are discarded if it has no handler. *)
+    the same request are suppressed.  A request's reassembly state lives
+    until no copy of it can still arrive (its last transmission plus the
+    network's latency bound), so the transport holds state only for recent
+    requests however many it has carried.  Every node that issues requests
+    must also be attached: acknowledgements are addressed to the source
+    node and are discarded if it has no handler. *)
 
 val request :
   'msg t ->

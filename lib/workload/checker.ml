@@ -10,9 +10,7 @@ type verdict = {
 let ok v =
   v.causal_ok && v.atomicity_ok && v.zombie_ok && v.views_ok && v.partition_ok
 
-let check_causal_order cluster deliveries violations =
-  let config = Urcgc.Cluster.config cluster in
-  let n = config.Urcgc.Config.n in
+let check_causal ~n deliveries ~violations =
   let trackers = Hashtbl.create n in
   let tracker node =
     match Hashtbl.find_opt trackers node with
@@ -24,7 +22,7 @@ let check_causal_order cluster deliveries violations =
   in
   let causal_ok = ref true in
   List.iter
-    (fun { Urcgc.Cluster.node; msg; at } ->
+    (fun { Run_log.node; msg; at } ->
       let t = tracker node in
       if Causal.Delivery.processable t msg then
         Causal.Delivery.mark t msg.Causal.Causal_msg.mid
@@ -48,21 +46,20 @@ let check_causal_order cluster deliveries violations =
     deliveries;
   !causal_ok
 
-let check_atomicity cluster deliveries violations =
-  let actives = Urcgc.Cluster.active_members cluster in
+let check_atomicity ~survivors deliveries ~violations =
   let processed_by = Hashtbl.create 16 in
   List.iter
     (fun node -> Hashtbl.replace processed_by node Causal.Mid.Set.empty)
-    actives;
+    survivors;
   List.iter
-    (fun { Urcgc.Cluster.node; msg; _ } ->
+    (fun { Run_log.node; msg; _ } ->
       match Hashtbl.find_opt processed_by node with
       | None -> ()
       | Some set ->
           Hashtbl.replace processed_by node
             (Causal.Mid.Set.add msg.Causal.Causal_msg.mid set))
     deliveries;
-  match actives with
+  match survivors with
   | [] -> true
   | first :: rest ->
       let reference = Hashtbl.find processed_by first in
@@ -186,12 +183,16 @@ let check_views cluster violations =
         rest;
       !ok
 
-let check cluster =
+let check_log cluster deliveries =
   let violations = ref [] in
-  (* The log is rebuilt from its column chunks on every read: read it once. *)
-  let deliveries = Urcgc.Cluster.deliveries cluster in
-  let causal_ok = check_causal_order cluster deliveries violations in
-  let atomicity_ok = check_atomicity cluster deliveries violations in
+  let causal_ok =
+    check_causal ~n:(Urcgc.Cluster.config cluster).Urcgc.Config.n deliveries
+      ~violations
+  in
+  let atomicity_ok =
+    check_atomicity ~survivors:(Urcgc.Cluster.active_members cluster)
+      deliveries ~violations
+  in
   let zombie_ok = check_no_zombie cluster deliveries violations in
   let views_ok = check_views cluster violations in
   let partition_ok = check_partition cluster violations in
@@ -203,6 +204,9 @@ let check cluster =
     partition_ok;
     violations = List.rev !violations;
   }
+
+(* The log is rebuilt from its column chunks on every read: read it once. *)
+let check cluster = check_log cluster (Urcgc.Cluster.deliveries cluster)
 
 let pp ppf v =
   if ok v then Format.pp_print_string ppf "all invariants hold"

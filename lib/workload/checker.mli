@@ -16,7 +16,10 @@
       adopted view degenerated to itself alone, i.e. the group lost its
       primary partition — impossible within the fault budget
       (silenced + crashed <= t) and therefore the detectable liveness
-      signature of beyond-budget fault load. *)
+      signature of beyond-budget fault load.
+
+    The first two ({!check_causal}, {!check_atomicity}) read only a
+    {!Run_log.processing} log: the CBCAST and Psync runners call them too. *)
 
 type verdict = {
   causal_ok : bool;
@@ -37,5 +40,22 @@ val ok : verdict -> bool
     state is never traced). *)
 
 val check : 'a Urcgc.Cluster.t -> verdict
+
+val check_log : 'a Urcgc.Cluster.t -> 'a Run_log.processing list -> verdict
+(** {!check} given the cluster's processing log, already read. *)
+
+val check_causal :
+  n:int -> 'a Run_log.processing list -> violations:string list ref -> bool
+(** Replays the log through a {!Causal.Delivery} tracker per node: each
+    event whose message was not processable there (a chain gap, a missing
+    dependency, a repeat) fails and prepends a line to [violations]. *)
+
+val check_atomicity :
+  survivors:Net.Node_id.t list ->
+  'a Run_log.processing list ->
+  violations:string list ref ->
+  bool
+(** Every survivor processed the same mids as the first; each that did
+    not prepends a line to [violations]. *)
 
 val pp : Format.formatter -> verdict -> unit

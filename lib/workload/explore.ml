@@ -388,7 +388,8 @@ let run_schedule c ctx =
     then stop := true
   done;
   (* -- judge ----------------------------------------------------------- *)
-  let verdict = Checker.check cluster in
+  let deliveries = Urcgc.Cluster.deliveries cluster in
+  let verdict = Checker.check_log cluster deliveries in
   let generated = List.length (Urcgc.Cluster.generations cluster) in
   let delivered_remote =
     List.length
@@ -397,7 +398,7 @@ let run_schedule c ctx =
            not
              (Net.Node_id.equal d.Urcgc.Cluster.node
                 (Causal.Mid.origin d.Urcgc.Cluster.msg.Causal.Causal_msg.mid)))
-         (Urcgc.Cluster.deliveries cluster))
+         deliveries)
   in
   let fault_free =
     crashes = [] && omission_slot < 0 && c.silenced = 0

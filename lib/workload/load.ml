@@ -55,3 +55,17 @@ let rec inject_from i = function
       inject_from i rest
 
 let inject i ~round:_ = inject_from i i.senders
+
+let drive ?sample i group ~start ~quiescent ~max_rtd =
+  let hook name f =
+    Net.Group.on_round group (fun ~round ->
+        if !Sim.Prof.on then Sim.Prof.enter name;
+        f ~round;
+        if !Sim.Prof.on then Sim.Prof.exit ())
+  in
+  hook "runner.inject" (inject i);
+  Option.iter (hook "runner.sample") sample;
+  start ();
+  Sim.Prof.span "runner.run" (fun () ->
+      Net.Group.run group ~max_rtd ~until:(fun () ->
+          cap_reached i && quiescent ()))

@@ -61,3 +61,18 @@ val inject : injector -> round:int -> unit
     toward the cap. *)
 
 val cap_reached : injector -> bool
+
+val drive :
+  ?sample:(round:int -> unit) ->
+  injector ->
+  'm Net.Group.t ->
+  start:(unit -> unit) ->
+  quiescent:(unit -> bool) ->
+  max_rtd:float ->
+  unit
+(** The run loop of every stack: hooks {!inject} to the round clock of
+    [group] (the injector's group), then [sample], starts the clock with
+    [start] (the cluster's own), and runs the group ({!Net.Group.run})
+    until the cap is reached and [quiescent ()] holds, or for [max_rtd].
+    The three parts run in the ["runner.inject"], ["runner.sample"] and
+    ["runner.run"] profiling spans. *)

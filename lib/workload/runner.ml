@@ -119,73 +119,45 @@ let run ?tracer ?(metrics = Sim.Metrics.null) (scenario : Scenario.t) =
   let cluster =
     Urcgc.Cluster.create_with_medium ?tracer ~config:scenario.config ~medium ()
   in
-  let injector = make_injector scenario cluster rng in
-  Urcgc.Cluster.on_round cluster (fun ~round ->
-      if !Sim.Prof.on then Sim.Prof.enter "runner.inject";
-      Load.inject injector ~round;
-      if !Sim.Prof.on then Sim.Prof.exit ());
   (* Sampling: per-round maxima of history and waiting-list lengths. *)
   let history_series = ref [] in
   let history_peak = ref 0 in
   let waiting_peak = ref 0 in
-  Urcgc.Cluster.on_round cluster (fun ~round ->
-      if !Sim.Prof.on then Sim.Prof.enter "runner.sample";
-      let history_max = ref 0 and waiting_max = ref 0 in
-      List.iter
-        (fun member ->
-          if Urcgc.Member.active member then begin
-            history_max := max !history_max (Urcgc.Member.history_length member);
-            waiting_max := max !waiting_max (Urcgc.Member.waiting_length member)
-          end)
-        (Urcgc.Cluster.members cluster);
-      history_series := (round, !history_max) :: !history_series;
-      history_peak := max !history_peak !history_max;
-      waiting_peak := max !waiting_peak !waiting_max;
-      if Sim.Metrics.enabled metrics then begin
-        Sim.Metrics.set_gauge metrics "history.occupancy" !history_max;
-        Sim.Metrics.set_gauge metrics "waiting.depth" !waiting_max;
-        Sim.Metrics.observe metrics "history.occupancy_per_round"
-          (float_of_int !history_max);
-        Sim.Metrics.observe metrics "waiting.depth_per_round"
-          (float_of_int !waiting_max)
-      end;
-      if !Sim.Prof.on then Sim.Prof.exit ());
-  Urcgc.Cluster.start cluster;
-  (* Run until the workload is exhausted and the group is quiescent, or the
-     time cap is hit. *)
-  if !Sim.Prof.on then Sim.Prof.enter "runner.run";
-  Net.Group.run (Urcgc.Cluster.group cluster) ~max_rtd:scenario.max_rtd
-    ~until:(fun () ->
-      Load.cap_reached injector && Urcgc.Cluster.quiescent cluster);
-  if !Sim.Prof.on then Sim.Prof.exit ();
+  let sample ~round =
+    let history_max = ref 0 and waiting_max = ref 0 in
+    List.iter
+      (fun member ->
+        if Urcgc.Member.active member then begin
+          history_max := max !history_max (Urcgc.Member.history_length member);
+          waiting_max := max !waiting_max (Urcgc.Member.waiting_length member)
+        end)
+      (Urcgc.Cluster.members cluster);
+    history_series := (round, !history_max) :: !history_series;
+    history_peak := max !history_peak !history_max;
+    waiting_peak := max !waiting_peak !waiting_max;
+    if Sim.Metrics.enabled metrics then begin
+      Sim.Metrics.set_gauge metrics "history.occupancy" !history_max;
+      Sim.Metrics.set_gauge metrics "waiting.depth" !waiting_max;
+      Sim.Metrics.observe metrics "history.occupancy_per_round"
+        (float_of_int !history_max);
+      Sim.Metrics.observe metrics "waiting.depth_per_round"
+        (float_of_int !waiting_max)
+    end
+  in
+  Load.drive ~sample
+    (make_injector scenario cluster rng)
+    (Urcgc.Cluster.group cluster)
+    ~start:(fun () -> Urcgc.Cluster.start cluster)
+    ~quiescent:(fun () -> Urcgc.Cluster.quiescent cluster)
+    ~max_rtd:scenario.max_rtd;
   (* Reduce the event log to the report. *)
   if !Sim.Prof.on then Sim.Prof.enter "runner.reduce";
-  let generations = Urcgc.Cluster.generations cluster in
-  let sent_at =
-    List.fold_left
-      (fun acc { Urcgc.Cluster.mid; sent_at; _ } ->
-        Causal.Mid.Map.add mid sent_at acc)
-      Causal.Mid.Map.empty generations
-  in
   let deliveries = Urcgc.Cluster.deliveries cluster in
-  let remote =
-    List.filter
-      (fun { Urcgc.Cluster.node; msg; _ } ->
-        not (Net.Node_id.equal node (Causal.Mid.origin msg.Causal.Causal_msg.mid)))
+  let { Run_log.generated; delivered_remote; delay; completion_rtd } =
+    Run_log.tally
+      ~observe:(Sim.Metrics.observe metrics "delivery.latency_rtd")
+      (Urcgc.Cluster.generations cluster)
       deliveries
-  in
-  let delays =
-    List.filter_map
-      (fun { Urcgc.Cluster.msg; at; _ } ->
-        match Causal.Mid.Map.find_opt msg.Causal.Causal_msg.mid sent_at with
-        | None -> None
-        | Some t0 -> Some (Sim.Ticks.to_rtd (Sim.Ticks.diff at t0)))
-      remote
-  in
-  let completion_rtd =
-    List.fold_left
-      (fun acc { Urcgc.Cluster.at; _ } -> Float.max acc (Sim.Ticks.to_rtd at))
-      0.0 deliveries
   in
   let traffic = Urcgc.Medium.traffic medium in
   let fragments =
@@ -202,22 +174,21 @@ let run ?tracer ?(metrics = Sim.Metrics.null) (scenario : Scenario.t) =
       (Urcgc.Cluster.discards cluster)
   in
   if Sim.Metrics.enabled metrics then begin
-    Sim.Metrics.incr metrics ~by:(List.length generations) "messages.generated";
-    Sim.Metrics.incr metrics ~by:(List.length remote) "deliveries.remote";
+    Sim.Metrics.incr metrics ~by:generated "messages.generated";
+    Sim.Metrics.incr metrics ~by:delivered_remote "deliveries.remote";
     Sim.Metrics.incr metrics ~by:discarded "messages.discarded";
     Sim.Metrics.incr metrics
       ~by:(List.length (Urcgc.Cluster.departures cluster))
       "departures";
     Sim.Metrics.incr metrics ~by:(net_dropped ()) "net.drops";
     Sim.Metrics.incr metrics ~by:(net_retransmissions ()) "net.retransmissions";
-    Sim.Metrics.incr metrics ~by:(net_fragments ()) "net.fragments_sent";
-    List.iter (Sim.Metrics.observe metrics "delivery.latency_rtd") delays
+    Sim.Metrics.incr metrics ~by:(net_fragments ()) "net.fragments_sent"
   end;
   let report = {
     scenario;
-    generated = List.length generations;
-    delivered_remote = List.length remote;
-    delay = Stats.Summary.of_list delays;
+    generated;
+    delivered_remote;
+    delay;
     completion_rtd;
     subruns = Urcgc.Cluster.subrun cluster;
     control_msgs = Net.Traffic.count traffic Net.Traffic.Control;
@@ -234,7 +205,7 @@ let run ?tracer ?(metrics = Sim.Metrics.null) (scenario : Scenario.t) =
     departures = Urcgc.Cluster.departures cluster;
     discarded;
     fragments;
-    verdict = Checker.check cluster;
+    verdict = Checker.check_log cluster deliveries;
   } in
   if !Sim.Prof.on then Sim.Prof.exit ();
   report
@@ -243,9 +214,8 @@ let control_msgs_per_subrun report =
   if report.subruns = 0 then 0.0
   else float_of_int report.control_msgs /. float_of_int report.subruns
 
-let mean_delay_rtd report =
-  if report.delay.Stats.Summary.count = 0 then 0.0
-  else report.delay.Stats.Summary.mean
+(* The summary of no samples has mean 0. *)
+let mean_delay_rtd report = report.delay.Stats.Summary.mean
 
 let pp_report ppf r =
   Format.fprintf ppf

@@ -1,5 +1,10 @@
 (** Experiment runner for the CBCAST baseline, mirroring {!Runner} so the
-    benchmark harness can print urcgc and CBCAST rows side by side. *)
+    benchmark harness can print urcgc and CBCAST rows side by side.
+
+    It shares urcgc's harness end to end: {!Load.drive} runs it, its log
+    mapped by {!processing} is reduced by {!Run_log.tally}, and
+    {!Checker.check_causal} and {!Checker.check_atomicity} give its
+    [causal_ok], [atomicity_ok] and [violations]. *)
 
 type report = {
   name : string;
@@ -35,6 +40,10 @@ val run :
   max_rtd:float ->
   unit ->
   report
+
+val processing : 'a Cbcast.Cluster.delivery -> 'a Run_log.processing
+(** A delivery with CBCAST's causal label: mid [(sender, vt(sender))],
+    dependencies [(k, vt(k))] for every [k <> sender] with [vt(k) > 0]. *)
 
 val mean_delay_rtd : report -> float
 

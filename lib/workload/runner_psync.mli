@@ -1,4 +1,8 @@
-(** Experiment runner for the Psync baseline. *)
+(** Experiment runner for the Psync baseline.
+
+    It shares urcgc's harness end to end: {!Load.drive} runs it, its log
+    mapped by {!processing} is reduced by {!Run_log.tally}, and
+    {!Checker.check_causal} gives its [causal_ok] and [violations]. *)
 
 type report = {
   name : string;
@@ -29,6 +33,10 @@ val run :
   max_rtd:float ->
   unit ->
   report
+
+val processing : 'a Psync.Cluster.delivery -> 'a Run_log.processing
+(** A delivery with Psync's causal label: the message depends on its
+    direct predecessors in the context graph. *)
 
 val mean_delay_rtd : report -> float
 

@@ -378,6 +378,68 @@ let transport_tests =
         Alcotest.(check bool) "some confirmed by acks" true (!full > 0);
         Alcotest.(check bool) "some by an exhausted budget" true
           (!partial > 0));
+    Alcotest.test_case "late copies reach every destination exactly once"
+      `Quick (fun () ->
+        (* A retry interval shorter than the one-way latency: every request
+           is retransmitted before its first ack returns, so copies keep
+           landing after the confirmation (h = 1 confirms at the first
+           ack).  Each destination must get each body once, neither twice
+           nor never. *)
+        let engine, transport =
+          make_transport ~retry_interval:(Sim.Ticks.of_int 20) ~max_retries:4
+            ~seed:8 ()
+        in
+        let requests = 40 in
+        let got = Array.make_matrix 4 requests 0 in
+        List.iter
+          (fun i ->
+            Net.Transport.attach transport (node i) (fun ~src:_ body ->
+                got.(i).(body) <- got.(i).(body) + 1))
+          [ 0; 1; 2; 3 ];
+        for body = 0 to requests - 1 do
+          Net.Transport.request transport ~src:(node 0)
+            ~dsts:[ node 1; node 2; node 3 ] ~h:1 ~kind:Net.Traffic.Data
+            ~size:10
+            ~on_confirm:(fun ~acked:_ -> ())
+            body
+        done;
+        Sim.Engine.run engine;
+        Alcotest.(check bool) "copies were retransmitted" true
+          (Net.Transport.retransmissions transport > 0);
+        List.iter
+          (fun i ->
+            Alcotest.(check (list int))
+              (Printf.sprintf "p%d got every body once" i)
+              (List.init requests (fun _ -> 1))
+              (Array.to_list got.(i)))
+          [ 1; 2; 3 ]);
+    Alcotest.test_case "state stays flat across confirmed requests" `Quick
+      (fun () ->
+        (* Sequential, confirmed 3-destination requests: once a request's
+           copies have all landed the transport must hold nothing of it, so
+           the words it keeps reachable do not grow with the count. *)
+        let engine, transport = make_transport ~seed:9 () in
+        List.iter
+          (fun i -> Net.Transport.attach transport (node i) (fun ~src:_ () -> ()))
+          [ 0; 1; 2; 3 ];
+        let confirmed = ref 0 in
+        let send count =
+          for _ = 1 to count do
+            Net.Transport.request transport ~src:(node 0)
+              ~dsts:[ node 1; node 2; node 3 ] ~h:3 ~kind:Net.Traffic.Data
+              ~size:10
+              ~on_confirm:(fun ~acked:_ -> incr confirmed)
+              ();
+            Sim.Engine.run engine
+          done
+        in
+        send 1_000;
+        let after_1k = Obj.reachable_words (Obj.repr transport) in
+        send 9_000;
+        let after_10k = Obj.reachable_words (Obj.repr transport) in
+        Alcotest.(check int) "all confirmed" 10_000 !confirmed;
+        Alcotest.(check int) "same words after 1 000 and 10 000" after_1k
+          after_10k);
     Alcotest.test_case "validates h and dsts" `Quick (fun () ->
         let _, transport = make_transport ~seed:5 () in
         Alcotest.check_raises "empty"

@@ -103,15 +103,15 @@ let run_urgc ?(n = 6) ?(k = 3) ?(rate = 0.5) ?(messages = 50)
   let fault = Net.Fault.create fault ~rng:(Sim.Rng.split rng) in
   let net = Net.Netsim.create engine ~fault ~rng:(Sim.Rng.split rng) () in
   let cluster = Urgc.Cluster.create ~n ~k ~net () in
+  let group = Urgc.Cluster.group cluster in
   let load = Workload.Load.make ~rate ~total_messages:messages () in
-  let injector =
-    Workload.Load.injector load ~rng (Urgc.Cluster.group cluster)
-      ~submit:(fun node id -> Urgc.Cluster.submit cluster node id)
-  in
-  Urgc.Cluster.on_round cluster (Workload.Load.inject injector);
-  Urgc.Cluster.start cluster;
-  Net.Group.run (Urgc.Cluster.group cluster) ~max_rtd ~until:(fun () ->
-      Workload.Load.cap_reached injector && Urgc.Cluster.quiescent cluster);
+  Workload.Load.drive
+    (Workload.Load.injector load ~rng group ~submit:(fun node id ->
+         Urgc.Cluster.submit cluster node id))
+    group
+    ~start:(fun () -> Urgc.Cluster.start cluster)
+    ~quiescent:(fun () -> Urgc.Cluster.quiescent cluster)
+    ~max_rtd;
   (engine, cluster)
 
 let crash_spec crashes =
