@@ -237,7 +237,7 @@ let on_body t member body =
       emit t
         (Sim.Trace.Receive
            { node = Net.Node_id.to_int (Member.id member); pdu = trace_pdu body });
-    Member.handle_into member (sink t member) body
+    Member.handle member (sink t member) body
   end
 
 let create_with_medium ?(tracer = Sim.Trace.null) ~config ~medium () =
@@ -300,8 +300,8 @@ let start t =
       end;
       Net.Group.iter_live t.group (fun member ->
           if round mod 2 = 0 then
-            Member.begin_subrun_into member (sink t member) ~subrun
-          else Member.mid_subrun_into member (sink t member) ~subrun))
+            Member.begin_subrun member (sink t member) ~subrun
+          else Member.mid_subrun member (sink t member) ~subrun))
 
 let config t = t.config
 let group t = t.group

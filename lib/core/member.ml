@@ -22,11 +22,10 @@ type 'a action =
 (* Actions are streamed into a sink as they happen instead of accumulated
    into a list and replayed: on the n >> 100 hot path the per-message cons
    cells and [List.rev]/[List.concat_map] plumbing dominated the allocation
-   profile.  The emission order is exactly the order the old list API
-   returned, and member state never depends on a sink callback's effects
-   (callbacks may not call back into this member), so the two forms are
-   observably equivalent — test/member_reference.ml pins this with a
-   randomized equivalence suite. *)
+   profile.  Member state never depends on a sink callback's effects
+   (callbacks may not call back into this member), so [collect] reads the
+   same actions as a list.  test/member_stream.ml pins the action streams of
+   a randomized n = 4 drive as a golden. *)
 type 'a sink = {
   emit_broadcast : 'a Wire.body -> unit;
   emit_send : Net.Node_id.t -> 'a Wire.body -> unit;
@@ -210,8 +209,8 @@ let generate_data t sink =
           Causal.Causal_msg.of_sorted_deps ~mid ~deps:(frontier t)
             ~payload_size:size payload
     in
-    (* Broadcast first, then the local processing cascade, then the
-       confirmation — the order the old list API established.  The sender
+    (* The emission order is part of the contract: the broadcast, then the
+       local processing cascade, then the confirmation.  The sender
        processes its own message immediately: its dependencies are all in
        its processed prefix by construction, and nothing the broadcast
        emission does reads the delivery state the cascade updates. *)
@@ -297,8 +296,8 @@ let adopt_decision t sink ~evidence d =
 
 (* Known gaps against the decision's max_processed vector, without building
    the request PDUs: [count_recovery_gaps] feeds the stall tracker, and
-   [emit_recovery_requests] (origins ascending, the old list order) builds
-   the PDUs only when the process stays in the group. *)
+   [emit_recovery_requests] (origins ascending) builds the PDUs only when the
+   process stays in the group. *)
 let count_recovery_gaps t =
   let d = t.decision in
   let gaps = ref 0 in
@@ -351,11 +350,10 @@ let track_recovery_progress t sink ~gaps =
     else false
   end
 
-(* Collects a sink's emissions into a list (original API order).  Used by
-   the public list wrappers, and by the coordinator path of mid_subrun
-   where the decision broadcast must be emitted before the adoption's local
-   actions even though adoption runs first. *)
-let collecting f =
+(* Collects a sink's emissions into a list, in emission order.  The
+   coordinator path of [mid_subrun] uses it to emit the decision broadcast
+   before the adoption's local actions even though adoption runs first. *)
+let collect f =
   let acc = ref [] in
   let push action = acc := action :: !acc in
   let sink =
@@ -383,7 +381,7 @@ let my_request t ~subrun =
     prev_decision = t.decision;
   }
 
-let begin_subrun_into t sink ~subrun =
+let begin_subrun t sink ~subrun =
   if active t then begin
     (* Silence bookkeeping: a subrun elapsed without any decision. *)
     if t.subrun >= 0 && not t.decision_seen_this_subrun then
@@ -413,8 +411,8 @@ let begin_subrun_into t sink ~subrun =
         end
       in
       (* The stall tracker must run — and may retire the process — before
-         anything is emitted: the old list API dropped the request,
-         recovery and data actions of the subrun that exhausted recovery. *)
+         anything is emitted: the subrun that exhausts recovery emits
+         [Left Recovery_exhausted] and no request, recovery or data. *)
       let gaps = count_recovery_gaps t in
       if not (track_recovery_progress t sink ~gaps) then begin
         (match request_to with
@@ -427,7 +425,7 @@ let begin_subrun_into t sink ~subrun =
     end
   end
 
-let mid_subrun_into t sink ~subrun =
+let mid_subrun t sink ~subrun =
   if active t then begin
     (match t.coordinator_for with
     | Some s when s = subrun ->
@@ -447,13 +445,13 @@ let mid_subrun_into t sink ~subrun =
               not (Net.Node_id.equal r.Wire.sender t.id))
             requests
         in
-        (* The broadcast rides ahead of the local adoption effects, as in
-           the old list order — but adoption must run first, since the
-           broadcast's destination set is read from the adopted view, and a
-           coordinator that adopts itself dead broadcasts nothing.  The
-           (rare, at most one Left or Discarded) local actions are buffered
-           and replayed after the broadcast. *)
-        let local = collecting (fun s -> adopt_decision t s ~evidence d) in
+        (* The broadcast comes before the local adoption effects — but
+           adoption must run first, since the broadcast's destination set is
+           read from the adopted view, and a coordinator that departs on
+           adopting its own decision broadcasts nothing.  The (rare, at most
+           one Left or Discarded) local actions are buffered and replayed
+           after the broadcast. *)
+        let local = collect (fun s -> adopt_decision t s ~evidence d) in
         if active t then sink.emit_broadcast (Wire.Decision_pdu d);
         List.iter (emit_action sink) local
     | Some _ | None -> ());
@@ -470,7 +468,7 @@ let handle_recover_req t sink { Wire.requester; origin; from_seq; to_seq } =
     sink.emit_send requester
       (Wire.Recover_reply { responder = t.id; messages })
 
-let handle_into t sink body =
+let handle t sink body =
   if active t then
     match body with
     | Wire.Data msg -> receive_data t sink msg
@@ -494,16 +492,3 @@ let handle_into t sink body =
     | Wire.Recover_req req -> handle_recover_req t sink req
     | Wire.Recover_reply { messages; _ } ->
         List.iter (receive_data t sink) messages
-
-(* -- list compatibility wrappers ---------------------------------------
-
-   The original API returned action lists; unit tests and the reference
-   equivalence suite still consume that form. *)
-
-let begin_subrun t ~subrun =
-  collecting (fun sink -> begin_subrun_into t sink ~subrun)
-
-let mid_subrun t ~subrun =
-  collecting (fun sink -> mid_subrun_into t sink ~subrun)
-
-let handle t body = collecting (fun sink -> handle_into t sink body)

@@ -1,19 +1,23 @@
 (** Per-process urcgc protocol entity.
 
     A member is a deterministic state machine: the two round hooks
-    ({!begin_subrun_into}, {!mid_subrun_into}) and the PDU handler
-    ({!handle_into}) each emit the {!action}s the process takes into a
-    {!sink}, and the embedding ({!Cluster}) turns those into network sends
-    and service indications.  The list forms ({!begin_subrun},
-    {!mid_subrun}, {!handle}) collect the same emissions.  This keeps the
+    ({!begin_subrun}, {!mid_subrun}) and the PDU handler ({!handle}) each
+    emit the {!action}s the process takes into a {!sink}, and the embedding
+    ({!Cluster}) turns those into network sends and service indications.
+    {!collect} reads the emissions of one call as a list, which keeps the
     whole protocol logic testable without a simulator.
 
     Timeline of subrun [s] (one rtd):
-    - round [2s] ({!begin_subrun_into}): send the request (state vectors +
-      last received decision) to the coordinator of [s]; possibly broadcast
-      one new data message; send recovery requests for known gaps.
-    - round [2s+1] ({!mid_subrun_into}): the coordinator computes and
-      broadcasts its decision; possibly broadcast one new data message. *)
+    - round [2s] ({!begin_subrun}): send the request (state vectors + last
+      received decision) to the coordinator of [s]; send recovery requests
+      for known gaps; possibly broadcast one new data message, emitted as
+      its [Broadcast], then the [Processed] cascade it starts, then its
+      [Confirmed].  The subrun in which recovery is exhausted emits only
+      [Left Recovery_exhausted].
+    - round [2s+1] ({!mid_subrun}): the coordinator computes and broadcasts
+      its decision, ahead of any [Discarded] or [Left] that adopting it
+      produces (a coordinator that departs on adopting its own decision
+      broadcasts nothing); possibly broadcast one new data message. *)
 
 type reason =
   | Declared_crashed  (** saw a decision with [alive.(self) = false]: suicide *)
@@ -57,12 +61,10 @@ type 'a sink = {
   emit_left : reason -> unit;
 }
 (** Streaming consumer of a member's actions: one callback per {!action}
-    constructor, invoked in exactly the order the list API returns the
-    actions.  The hot-path entry points ({!begin_subrun_into},
-    {!mid_subrun_into}, {!handle_into}) emit into a sink as the actions
-    happen instead of accumulating a list — the embedding ({!Cluster})
-    allocates one sink per member for the whole run.  Sink callbacks must
-    not call back into the emitting member. *)
+    constructor, invoked as the actions happen, in the order the module
+    documentation gives.  The embedding ({!Cluster}) allocates one sink per
+    member for the whole run.  Sink callbacks must not call back into the
+    emitting member. *)
 
 type 'a t
 
@@ -97,15 +99,14 @@ val submit : ?deps:Causal.Mid.t list -> ?size:int -> 'a t -> 'a -> unit
     origin), the densest labelling allowed by Definition 3.1's intermediate
     interpretation.  [size] defaults to the configured payload size. *)
 
-val begin_subrun_into : 'a t -> 'a sink -> subrun:int -> unit
+val begin_subrun : 'a t -> 'a sink -> subrun:int -> unit
 
-val mid_subrun_into : 'a t -> 'a sink -> subrun:int -> unit
+val mid_subrun : 'a t -> 'a sink -> subrun:int -> unit
 
-val handle_into : 'a t -> 'a sink -> 'a Wire.body -> unit
+val handle : 'a t -> 'a sink -> 'a Wire.body -> unit
 
-val begin_subrun : 'a t -> subrun:int -> 'a action list
-(** List form of {!begin_subrun_into} (collects the emissions). *)
-
-val mid_subrun : 'a t -> subrun:int -> 'a action list
-
-val handle : 'a t -> 'a Wire.body -> 'a action list
+val collect : ('a sink -> unit) -> 'a action list
+(** [collect f] runs [f] on a sink that records every emission, and returns
+    the actions in emission order:
+    [collect (begin_subrun m ~subrun)] or
+    [collect (fun sink -> handle m sink body)]. *)

@@ -21,42 +21,7 @@ let float_str = Printf.sprintf "%.12g"
 
 (* -- distributions -------------------------------------------------------- *)
 
-type dist = {
-  count : int;
-  mean : float;
-  min : float;
-  max : float;
-  p50 : float;
-  p95 : float;
-}
-
-let empty_dist = { count = 0; mean = 0.0; min = 0.0; max = 0.0; p50 = 0.0; p95 = 0.0 }
-
-let dist_of_floats samples =
-  match samples with
-  | [] -> empty_dist
-  | _ ->
-      let sorted = Array.of_list samples in
-      Array.sort Float.compare sorted;
-      let count = Array.length sorted in
-      let sum = Array.fold_left ( +. ) 0.0 sorted in
-      let quantile q =
-        (* Nearest rank, matching Metrics. *)
-        let rank = int_of_float (Float.ceil (q *. float_of_int count)) in
-        sorted.(Stdlib.min count (Stdlib.max 1 rank) - 1)
-      in
-      {
-        count;
-        mean = sum /. float_of_int count;
-        min = sorted.(0);
-        max = sorted.(count - 1);
-        p50 = quantile 0.50;
-        p95 = quantile 0.95;
-      }
-
-let dist_of_ticks ticks = dist_of_floats (List.map float_of_int ticks)
-
-let dist_scale k d =
+let scale_summary k (d : Metrics.summary) =
   if d.count = 0 then d
   else
     {
@@ -116,9 +81,9 @@ type t = {
   nodes : int;
   coverage : coverage;
   spans : span list;
-  latency_ticks : dist;
-  stability_ticks : dist;
-  waiting : dist;
+  latency_ticks : Metrics.summary;
+  stability_ticks : Metrics.summary;
+  waiting : Metrics.summary;
   rotations : (int * int) list;
   decisions : (int * int) list;
   recover_requests : int;
@@ -612,9 +577,9 @@ let analyze ?n ?(complete : bool option) ?metrics_json records =
         pre_window_mids = Hashtbl.length pre_window;
       };
     spans;
-    latency_ticks = dist_of_ticks !latency_samples;
-    stability_ticks = dist_of_ticks !stability_samples;
-    waiting = dist_of_ticks !waiting_samples;
+    latency_ticks = Metrics.summary_of_ints !latency_samples;
+    stability_ticks = Metrics.summary_of_ints !stability_samples;
+    waiting = Metrics.summary_of_ints !waiting_samples;
     rotations = assoc_of_array rotations;
     decisions = assoc_of_array decisions;
     recover_requests = !recover_req_count;
@@ -883,7 +848,7 @@ let parse_jsonl lines =
 
 (* -- canonical report export ---------------------------------------------- *)
 
-let buf_dist buf d =
+let buf_summary buf (d : Metrics.summary) =
   if d.count = 0 then Buffer.add_string buf "{\"count\":0}"
   else
     Printf.bprintf buf
@@ -946,13 +911,14 @@ let report_json t =
     (sum (fun s -> s.wait_adds))
     (sum (fun s -> s.retransmissions))
     (sum (fun s -> s.duplicate_recvs));
-  buf_dist buf t.latency_ticks;
+  buf_summary buf t.latency_ticks;
   Buffer.add_string buf ",\"latency_rtd\":";
-  buf_dist buf (dist_scale (1.0 /. float_of_int Ticks.per_rtd) t.latency_ticks);
+  buf_summary buf
+    (scale_summary (1.0 /. float_of_int Ticks.per_rtd) t.latency_ticks);
   Buffer.add_string buf ",\"stability_ticks\":";
-  buf_dist buf t.stability_ticks;
+  buf_summary buf t.stability_ticks;
   Buffer.add_string buf ",\"waiting_ticks\":";
-  buf_dist buf t.waiting;
+  buf_summary buf t.waiting;
   Buffer.add_char buf '}';
   Buffer.add_string buf ",\"coordinators\":[";
   List.iteri

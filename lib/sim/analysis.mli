@@ -12,19 +12,6 @@
     it reports a coverage window and skips the checks a missing prefix would
     false-flag, instead of reporting spurious violations. *)
 
-type dist = {
-  count : int;
-  mean : float;
-  min : float;
-  max : float;
-  p50 : float;  (** nearest-rank, matching {!Metrics} *)
-  p95 : float;
-}
-(** Summary of a sample distribution; all-zero when [count = 0]. *)
-
-val dist_of_floats : float list -> dist
-val dist_of_ticks : int list -> dist
-
 type coverage = {
   complete : bool;
       (** whether the trace covers the run from tick 0 (a bounded ring keeps
@@ -86,9 +73,11 @@ type t = {
   nodes : int;
   coverage : coverage;
   spans : span list;  (** sorted by [(origin, seq)] *)
-  latency_ticks : dist;  (** broadcast-to-processing, remote deliveries *)
-  stability_ticks : dist;  (** broadcast to group-wide stability *)
-  waiting : dist;  (** waiting-list residency per stay *)
+  latency_ticks : Metrics.summary;
+      (** broadcast-to-processing, remote deliveries; each tick summary is
+          {!Metrics.summary_of_ints}, all-zero when empty *)
+  stability_ticks : Metrics.summary;  (** broadcast to group-wide stability *)
+  waiting : Metrics.summary;  (** waiting-list residency per stay *)
   rotations : (int * int) list;  (** coordinator node -> rotations led *)
   decisions : (int * int) list;  (** coordinator node -> decision PDUs *)
   recover_requests : int;

@@ -95,18 +95,38 @@ let quantile sorted count q =
   let rank = Stdlib.min count (Stdlib.max 1 rank) in
   sorted.(rank - 1)
 
-let summarize h =
-  let sorted = Array.of_list h.samples in
-  Array.sort Float.compare sorted;
-  let count = h.h_count in
+(* [sorted] is ascending and non-empty; [sum] is the sum of its samples. *)
+let of_sorted sorted ~sum =
+  let count = Array.length sorted in
   {
     count;
-    mean = h.sum /. float_of_int count;
+    mean = sum /. float_of_int count;
     min = sorted.(0);
     max = sorted.(count - 1);
     p50 = quantile sorted count 0.50;
     p95 = quantile sorted count 0.95;
   }
+
+(* The running sum, not a re-summation of the sorted samples: histogram
+   means are a function of the recording order. *)
+let summarize h =
+  let sorted = Array.of_list h.samples in
+  Array.sort Float.compare sorted;
+  of_sorted sorted ~sum:h.sum
+
+let summary_of_ints = function
+  | [] -> { count = 0; mean = 0.0; min = 0.0; max = 0.0; p50 = 0.0; p95 = 0.0 }
+  | samples ->
+      (* Sorted as ints, then copied into an unboxed float array: no float
+         is boxed per comparison.  An int sum is exact in any order. *)
+      let ints = Array.of_list samples in
+      Array.sort Int.compare ints;
+      let count = Array.length ints in
+      let sorted = Array.make count 0.0 in
+      for i = 0 to count - 1 do
+        sorted.(i) <- float_of_int ints.(i)
+      done;
+      of_sorted sorted ~sum:(float_of_int (Array.fold_left ( + ) 0 ints))
 
 let histogram t name =
   match t with

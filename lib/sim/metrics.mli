@@ -49,6 +49,11 @@ type summary = {
 val histogram : t -> string -> summary option
 (** Nearest-rank quantiles over the recorded samples. *)
 
+val summary_of_ints : int list -> summary
+(** The same nearest-rank summary over integer samples (the trace
+    analyzer's tick distributions); every field is zero when the list is
+    empty. *)
+
 val to_json : t -> string
 (** One JSON object: [{"counters":{...},"gauges":{...},"histograms":{...}}],
     names in sorted order.  [{}] for {!null}. *)

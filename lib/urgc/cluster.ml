@@ -44,9 +44,9 @@ let execute t member action =
 
 let execute_all t member actions = List.iter (execute t member) actions
 
-let create ?(tracer = Sim.Trace.null) ?silence_limit ~n ~k ~net () =
+let create ?(tracer = Sim.Trace.null) ~n ~k ~net () =
   let members =
-    Array.init n (fun i -> Member.create ?silence_limit ~n ~k (Net.Node_id.of_int i))
+    Array.init n (fun i -> Member.create ~n ~k (Net.Node_id.of_int i))
   in
   let group =
     Net.Group.create ~engine:(Net.Netsim.engine net) ~fault:(Net.Netsim.fault net)

@@ -12,7 +12,6 @@ type 'a t
 
 val create :
   ?tracer:Sim.Trace.t ->
-  ?silence_limit:int ->
   n:int ->
   k:int ->
   net:'a Total_wire.body Net.Netsim.t ->

@@ -18,7 +18,6 @@ type 'a t = {
   id : Net.Node_id.t;
   n : int;
   k : int;
-  silence_limit : int;
   mutable pool : 'a Total_wire.data Mid_map.t;  (* received, unprocessed *)
   mutable processed_upto : int;
   history : (int, 'a Total_wire.data) Hashtbl.t;  (* by global sequence *)
@@ -34,14 +33,13 @@ type 'a t = {
   default_payload_size : int;
 }
 
-let create ?silence_limit ~n ~k id =
+let create ~n ~k id =
   if n <= 0 then invalid_arg "Member.create: n must be positive";
   if k <= 0 then invalid_arg "Member.create: k must be positive";
   {
     id;
     n;
     k;
-    silence_limit = Option.value silence_limit ~default:(2 * k);
     pool = Mid_map.empty;
     processed_upto = 0;
     history = Hashtbl.create 256;
@@ -175,7 +173,9 @@ let begin_subrun t ~subrun =
       t.silence <- t.silence + 1;
     t.subrun <- subrun;
     t.decision_seen_this_subrun <- false;
-    if t.silence >= t.silence_limit then leave t Decision_silence
+    (* Silent for 2K subruns: the same conservative limit as urcgc's
+       default [Config.silence_limit]. *)
+    if t.silence >= 2 * t.k then leave t Decision_silence
     else begin
       let coordinator =
         Urcgc.Coordinator.rotation ~alive:t.decision.Total_decision.alive

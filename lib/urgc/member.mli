@@ -19,9 +19,9 @@ type 'a action =
 
 type 'a t
 
-val create :
-  ?silence_limit:int -> n:int -> k:int -> Net.Node_id.t -> 'a t
-(** [silence_limit] defaults to [2k]. *)
+val create : n:int -> k:int -> Net.Node_id.t -> 'a t
+(** A process that sees no decision for [2k] consecutive subruns leaves with
+    [Decision_silence]. *)
 
 val id : 'a t -> Net.Node_id.t
 val active : 'a t -> bool

@@ -254,7 +254,10 @@ let candidates spec =
       (if spec.rate > 0.35 then [ { spec with rate = 0.3 } ] else []);
     ]
 
-let shrink ?(max_steps = 150) ?(jobs = 1) ~seed spec outcome =
+(* Recorded simulation runs one shrink may spend. *)
+let shrink_max_steps = 150
+
+let shrink ?(jobs = 1) ~seed spec outcome =
   let steps = ref 0 in
   (* A reduction is kept only if the run still fails in the same class: a
      safety (checker) failure must not degenerate into a mere liveness
@@ -292,10 +295,10 @@ let shrink ?(max_steps = 150) ?(jobs = 1) ~seed spec outcome =
      recorded steps, so the shrunk spec, violations, and step count are
      identical at any job count. *)
   let rec descend spec violations =
-    if !steps >= max_steps then (spec, violations)
+    if !steps >= shrink_max_steps then (spec, violations)
     else begin
       let cands = Array.of_list (candidates spec) in
-      let round = min (Array.length cands) (max_steps - !steps) in
+      let round = min (Array.length cands) (shrink_max_steps - !steps) in
       if round = 0 then (spec, violations)
       else if jobs <= 1 then begin
         (* Sequential fast path: stop evaluating at the first acceptance. *)

@@ -75,15 +75,14 @@ type shrunk = {
   shrink_steps : int;  (** simulation runs spent shrinking *)
 }
 
-val shrink : ?max_steps:int -> ?jobs:int -> seed:int -> spec -> outcome -> shrunk
+val shrink : ?jobs:int -> seed:int -> spec -> outcome -> shrunk
 (** Greedy fixpoint minimization of a failing spec under the same seed:
     bisect the message cap, shed processes, trim the crash schedule, zero or
     halve the omission/loss probabilities, reduce the burst size, tighten
     the time cap — keeping each reduction only if the run still fails in
     the same class (a safety failure never degenerates into a liveness-only
     one, e.g. by truncating a healthy run at a tightened time cap).
-    [max_steps] bounds the number of {e recorded} simulation runs
-    (default 150).
+    At most 150 simulation runs are {e recorded}.
 
     With [jobs > 1] each round's candidate list is evaluated speculatively
     in parallel on {!Sim.Pool} and the {e first-accepting candidate in

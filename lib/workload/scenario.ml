@@ -10,14 +10,12 @@ type t = {
   codec_boundary : bool;
   seed : int;
   max_rtd : float;
-  drain_rtd : float;
 }
 
 let make ?(name = "scenario") ?(fault = Net.Fault.reliable) ?(mount = Datagram)
-    ?latency ?(codec_boundary = false) ?(seed = 42) ?(max_rtd = 400.0)
-    ?(drain_rtd = 60.0) ~config ~load () =
+    ?latency ?(codec_boundary = false) ?(seed = 42) ?(max_rtd = 400.0) ~config
+    ~load () =
   if max_rtd <= 0.0 then invalid_arg "Scenario.make: max_rtd must be positive";
-  if drain_rtd < 0.0 then invalid_arg "Scenario.make: negative drain_rtd";
   {
     name;
     config;
@@ -28,7 +26,6 @@ let make ?(name = "scenario") ?(fault = Net.Fault.reliable) ?(mount = Datagram)
     codec_boundary;
     seed;
     max_rtd;
-    drain_rtd;
   }
 
 let crash_at_subrun t node ~subrun =

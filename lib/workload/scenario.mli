@@ -25,9 +25,6 @@ type t = {
   max_rtd : float;
       (** hard cap on simulated time; the runner may stop earlier once the
           workload is exhausted and the group is quiescent *)
-  drain_rtd : float;
-      (** extra time granted after the last submission before declaring a
-          run stuck (bounds the paper's recovery windows) *)
 }
 
 val make :
@@ -38,13 +35,12 @@ val make :
   ?codec_boundary:bool ->
   ?seed:int ->
   ?max_rtd:float ->
-  ?drain_rtd:float ->
   config:Urcgc.Config.t ->
   load:Load.t ->
   unit ->
   t
 (** Defaults: reliable network, [Datagram] mounting, seed 42,
-    [max_rtd = 400], [drain_rtd = 60]. *)
+    [max_rtd = 400]. *)
 
 val crash_at_subrun : t -> Net.Node_id.t -> subrun:int -> t
 (** Adds a fail-stop of the given process at the start of the given subrun

@@ -12,6 +12,10 @@
 #   - every library module has an interface: a lib/**/*.ml without a
 #     matching .mli breaks the repo-wide convention (the build-time Pool
 #     backend variants share pool_backend.mli and are allowlisted)
+#   - no Stdlib Random where outputs are pinned: lib/, bin/, bench/,
+#     examples/ and the member stream driver draw only from Sim.Rng, since
+#     OCaml 5 changed Random's generator and the goldens must read the same
+#     on every CI compiler
 #
 # Exits non-zero listing each offending file.
 
@@ -58,6 +62,13 @@ for f in $(git ls-files 'lib/**/*.ml' | grep -v '^_build/' || true); do
     status=1
   fi
 done
+
+if hits=$(git grep -n -E '(^|[^A-Za-z0-9_])Random\.' -- lib bin bench examples \
+  test/member_stream.ml); then
+  echo "lint: Stdlib Random where outputs are pinned (draw from Sim.Rng):" >&2
+  echo "$hits" | head -5 >&2
+  status=1
+fi
 
 if [ "$status" -eq 0 ]; then
   echo "lint: clean"

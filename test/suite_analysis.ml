@@ -284,22 +284,24 @@ let parser_tests =
 let dist_tests =
   [
     Alcotest.test_case "empty distribution is all zeros" `Quick (fun () ->
-        let d = Sim.Analysis.dist_of_ticks [] in
-        Alcotest.(check int) "count" 0 d.Sim.Analysis.count;
-        Alcotest.(check (float 0.0)) "mean" 0.0 d.Sim.Analysis.mean;
-        Alcotest.(check (float 0.0)) "p95" 0.0 d.Sim.Analysis.p95);
+        let d = Sim.Metrics.summary_of_ints [] in
+        Alcotest.(check int) "count" 0 d.Sim.Metrics.count;
+        Alcotest.(check (float 0.0)) "mean" 0.0 d.Sim.Metrics.mean;
+        Alcotest.(check (float 0.0)) "p95" 0.0 d.Sim.Metrics.p95);
     Alcotest.test_case "single sample is every quantile" `Quick (fun () ->
-        let d = Sim.Analysis.dist_of_ticks [ 7 ] in
-        Alcotest.(check int) "count" 1 d.Sim.Analysis.count;
-        Alcotest.(check (float 1e-9)) "min" 7.0 d.Sim.Analysis.min;
-        Alcotest.(check (float 1e-9)) "max" 7.0 d.Sim.Analysis.max;
-        Alcotest.(check (float 1e-9)) "p50" 7.0 d.Sim.Analysis.p50;
-        Alcotest.(check (float 1e-9)) "p95" 7.0 d.Sim.Analysis.p95);
+        let d = Sim.Metrics.summary_of_ints [ 7 ] in
+        Alcotest.(check int) "count" 1 d.Sim.Metrics.count;
+        Alcotest.(check (float 1e-9)) "min" 7.0 d.Sim.Metrics.min;
+        Alcotest.(check (float 1e-9)) "max" 7.0 d.Sim.Metrics.max;
+        Alcotest.(check (float 1e-9)) "p50" 7.0 d.Sim.Metrics.p50;
+        Alcotest.(check (float 1e-9)) "p95" 7.0 d.Sim.Metrics.p95);
     Alcotest.test_case "nearest-rank boundaries on 20 samples" `Quick (fun () ->
-        let d = Sim.Analysis.dist_of_ticks (List.init 20 (fun i -> i + 1)) in
-        (* rank(0.50 * 20) = 10th, rank(0.95 * 20) = 19th *)
-        Alcotest.(check (float 1e-9)) "p50" 10.0 d.Sim.Analysis.p50;
-        Alcotest.(check (float 1e-9)) "p95" 19.0 d.Sim.Analysis.p95);
+        let d = Sim.Metrics.summary_of_ints (List.init 20 (fun i -> 20 - i)) in
+        (* rank(0.50 * 20) = 10th, rank(0.95 * 20) = 19th, of the sorted
+           samples *)
+        Alcotest.(check (float 1e-9)) "mean" 10.5 d.Sim.Metrics.mean;
+        Alcotest.(check (float 1e-9)) "p50" 10.0 d.Sim.Metrics.p50;
+        Alcotest.(check (float 1e-9)) "p95" 19.0 d.Sim.Metrics.p95);
   ]
 
 let export_tests =

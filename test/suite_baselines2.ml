@@ -194,17 +194,21 @@ let recover_cap_tests =
         let config = Urcgc.Config.make ~n:3 ~k:2 () in
         let m : int Urcgc.Member.t = Urcgc.Member.create config (node 2) in
         for s = 1 to 100 do
+          let data =
+            Urcgc.Wire.Data
+              (Causal.Causal_msg.make
+                 ~mid:(Causal.Mid.make ~origin:(node 0) ~seq:s)
+                 ~deps:[] ~payload_size:8 s)
+          in
           ignore
-            (Urcgc.Member.handle m
-               (Urcgc.Wire.Data
-                  (Causal.Causal_msg.make
-                     ~mid:(Causal.Mid.make ~origin:(node 0) ~seq:s)
-                     ~deps:[] ~payload_size:8 s)))
+            (Urcgc.Member.collect (fun sink -> Urcgc.Member.handle m sink data))
         done;
+        let req =
+          Urcgc.Wire.Recover_req
+            { requester = node 1; origin = node 0; from_seq = 1; to_seq = 100 }
+        in
         let actions =
-          Urcgc.Member.handle m
-            (Urcgc.Wire.Recover_req
-               { requester = node 1; origin = node 0; from_seq = 1; to_seq = 100 })
+          Urcgc.Member.collect (fun sink -> Urcgc.Member.handle m sink req)
         in
         match
           List.find_map

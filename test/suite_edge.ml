@@ -1,9 +1,37 @@
 (* Edge-case coverage that the main suites do not reach: the
-   recovery-exhausted departure, coordinator-request handling corners,
-   urgc's recovery path, and CBCAST's stability cut soundness. *)
+   recovery-exhausted departure, coordinator-request handling and emission
+   order corners, urgc's recovery path, and CBCAST's stability cut
+   soundness. *)
 
 let node n = Net.Node_id.of_int n
 let mid o s = Causal.Mid.make ~origin:(node o) ~seq:s
+
+(* One call's emissions, read as a list through [Urcgc.Member.collect]. *)
+let begin_subrun m ~subrun =
+  Urcgc.Member.collect (Urcgc.Member.begin_subrun m ~subrun)
+
+let mid_subrun m ~subrun =
+  Urcgc.Member.collect (Urcgc.Member.mid_subrun m ~subrun)
+
+let handle m body =
+  Urcgc.Member.collect (fun sink -> Urcgc.Member.handle m sink body)
+
+(* One line per action, for emission-order checks. *)
+let describe : _ Urcgc.Member.action -> string = function
+  | Broadcast body -> Format.asprintf "broadcast %a" Urcgc.Wire.pp_body body
+  | Send (dst, body) ->
+      Format.asprintf "send to %a: %a" Net.Node_id.pp dst Urcgc.Wire.pp_body
+        body
+  | Processed msg ->
+      Format.asprintf "processed %a" Causal.Mid.pp msg.Causal.Causal_msg.mid
+  | Confirmed mid -> Format.asprintf "confirmed %a" Causal.Mid.pp mid
+  | Discarded mids ->
+      Format.asprintf "discarded %a"
+        (Format.pp_print_list ~pp_sep:Format.pp_print_space Causal.Mid.pp)
+        mids
+  | Queued (mid, depth) ->
+      Format.asprintf "queued %a at depth %d" Causal.Mid.pp mid depth
+  | Left why -> "left " ^ Urcgc.Member.reason_to_string why
 
 let member_edge_tests =
   let config = Urcgc.Config.make ~n:3 ~k:2 ~r:3 () in
@@ -23,26 +51,36 @@ let member_edge_tests =
             most_updated = [| node 2; node 1; node 2 |];
           }
         in
-        ignore (Urcgc.Member.handle m (Urcgc.Wire.Decision_pdu d));
+        ignore (handle m (Urcgc.Wire.Decision_pdu d));
         let left = ref None in
+        let departing = ref [] in
         (* Keep feeding fresh decisions so silence never triggers first. *)
         let s = ref 1 in
         while !left = None && !s < 12 do
-          let actions = Urcgc.Member.begin_subrun m ~subrun:!s in
+          let actions = begin_subrun m ~subrun:!s in
           List.iter
             (function
-              | Urcgc.Member.Left why -> left := Some why
+              | Urcgc.Member.Left why ->
+                  left := Some why;
+                  departing := actions
               | _ -> ())
             actions;
           ignore
-            (Urcgc.Member.handle m
+            (handle m
                (Urcgc.Wire.Decision_pdu { d with Urcgc.Decision.subrun = !s }));
           incr s
         done;
         match !left with
         | Some Urcgc.Member.Recovery_exhausted ->
             (* r = 3: gone by the 4th stalled attempt *)
-            Alcotest.(check bool) "left within r+1 subruns" true (!s <= 6)
+            Alcotest.(check bool) "left within r+1 subruns" true (!s <= 6);
+            (* The stall tracker runs before anything is emitted: the
+               departing subrun sends no request, recovery request or
+               data. *)
+            Alcotest.(check (list string))
+              "the departing subrun emits only the departure"
+              [ "left recovery exhausted" ]
+              (List.map describe !departing)
         | Some other ->
             Alcotest.failf "left for the wrong reason: %s"
               (Urcgc.Member.reason_to_string other)
@@ -59,19 +97,19 @@ let member_edge_tests =
             most_updated = [| node 2; node 1; node 2 |];
           }
         in
-        ignore (Urcgc.Member.handle m (Urcgc.Wire.Decision_pdu d));
+        ignore (handle m (Urcgc.Wire.Decision_pdu d));
         (* Two stalled subruns... *)
-        ignore (Urcgc.Member.begin_subrun m ~subrun:1);
+        ignore (begin_subrun m ~subrun:1);
         ignore
-          (Urcgc.Member.handle m
+          (handle m
              (Urcgc.Wire.Decision_pdu { d with Urcgc.Decision.subrun = 1 }));
-        ignore (Urcgc.Member.begin_subrun m ~subrun:2);
+        ignore (begin_subrun m ~subrun:2);
         ignore
-          (Urcgc.Member.handle m
+          (handle m
              (Urcgc.Wire.Decision_pdu { d with Urcgc.Decision.subrun = 2 }));
         (* ... then one message arrives: progress. *)
         ignore
-          (Urcgc.Member.handle m
+          (handle m
              (Urcgc.Wire.Data
                 (Causal.Causal_msg.make ~mid:(mid 0 1) ~deps:[] ~payload_size:1
                    "a")));
@@ -80,17 +118,17 @@ let member_edge_tests =
         let left = ref false in
         for s = 3 to 4 do
           ignore
-            (Urcgc.Member.handle m
+            (handle m
                (Urcgc.Wire.Decision_pdu { d with Urcgc.Decision.subrun = s - 1 }));
           List.iter
             (function Urcgc.Member.Left _ -> left := true | _ -> ())
-            (Urcgc.Member.begin_subrun m ~subrun:s)
+            (begin_subrun m ~subrun:s)
         done;
         Alcotest.(check bool) "still in the group" false !left);
     Alcotest.test_case "requests for another subrun are ignored" `Quick
       (fun () ->
         let m : unit Urcgc.Member.t = Urcgc.Member.create config (node 0) in
-        ignore (Urcgc.Member.begin_subrun m ~subrun:0);
+        ignore (begin_subrun m ~subrun:0);
         let stale =
           {
             Urcgc.Wire.sender = node 1;
@@ -100,10 +138,10 @@ let member_edge_tests =
             prev_decision = Urcgc.Decision.initial ~n:3;
           }
         in
-        ignore (Urcgc.Member.handle m (Urcgc.Wire.Request stale));
+        ignore (handle m (Urcgc.Wire.Request stale));
         (* The decision computed at mid-subrun must not count p1 as heard:
            with K=2 it takes 2 silent subruns to declare, so check attempts. *)
-        let actions = Urcgc.Member.mid_subrun m ~subrun:0 in
+        let actions = mid_subrun m ~subrun:0 in
         let d =
           List.find_map
             (function
@@ -119,7 +157,7 @@ let member_edge_tests =
     Alcotest.test_case "duplicate requests from one sender count once" `Quick
       (fun () ->
         let m : unit Urcgc.Member.t = Urcgc.Member.create config (node 0) in
-        ignore (Urcgc.Member.begin_subrun m ~subrun:0);
+        ignore (begin_subrun m ~subrun:0);
         let request =
           {
             Urcgc.Wire.sender = node 1;
@@ -129,9 +167,9 @@ let member_edge_tests =
             prev_decision = Urcgc.Decision.initial ~n:3;
           }
         in
-        ignore (Urcgc.Member.handle m (Urcgc.Wire.Request request));
-        ignore (Urcgc.Member.handle m (Urcgc.Wire.Request request));
-        let actions = Urcgc.Member.mid_subrun m ~subrun:0 in
+        ignore (handle m (Urcgc.Wire.Request request));
+        ignore (handle m (Urcgc.Wire.Request request));
+        let actions = mid_subrun m ~subrun:0 in
         match
           List.find_map
             (function
@@ -146,8 +184,8 @@ let member_edge_tests =
     Alcotest.test_case "non-coordinator mid_subrun emits no decision" `Quick
       (fun () ->
         let m : unit Urcgc.Member.t = Urcgc.Member.create config (node 1) in
-        ignore (Urcgc.Member.begin_subrun m ~subrun:0);
-        let actions = Urcgc.Member.mid_subrun m ~subrun:0 in
+        ignore (begin_subrun m ~subrun:0);
+        let actions = mid_subrun m ~subrun:0 in
         Alcotest.(check bool) "no decision" true
           (not
              (List.exists
@@ -155,6 +193,63 @@ let member_edge_tests =
                   | Urcgc.Member.Broadcast (Urcgc.Wire.Decision_pdu _) -> true
                   | _ -> false)
                 actions)));
+  ]
+
+(* Emission order of the coordinator path: a decision goes out before the
+   local actions its adoption replays, and not at all if adopting it takes
+   the coordinator out of the group. *)
+let emission_order_tests =
+  let config = Urcgc.Config.make ~n:3 ~k:2 ~r:3 () in
+  [
+    Alcotest.test_case "the decision broadcast precedes the discards it causes"
+      `Quick (fun () ->
+        (* p1 coordinates subrun 1 of a 4-group.  The decision of subrun 0
+           has p2 silent once and its stability cycle has heard p0 and p3,
+           so p1's own request closes a full-group decision that declares
+           p2 crashed (K = 2) and orphans p2#2, which waits here behind a
+           p2#1 nobody processed. *)
+        let config = Urcgc.Config.make ~n:4 ~k:2 () in
+        let m : string Urcgc.Member.t = Urcgc.Member.create config (node 1) in
+        ignore
+          (handle m
+             (Urcgc.Wire.Data
+                (Causal.Causal_msg.make ~mid:(mid 2 2) ~deps:[] ~payload_size:1
+                   "w")));
+        let d0 = Urcgc.Decision.initial ~n:4 in
+        ignore
+          (handle m
+             (Urcgc.Wire.Decision_pdu
+                {
+                  d0 with
+                  Urcgc.Decision.subrun = 0;
+                  attempts = [| 0; 0; 1; 0 |];
+                  heard = [| true; false; false; true |];
+                }));
+        ignore (begin_subrun m ~subrun:1);
+        Alcotest.(check (list string))
+          "broadcast, then the adoption's discards"
+          [ "broadcast decision subrun 1"; "discarded p2#2" ]
+          (List.map describe (mid_subrun m ~subrun:1)));
+    Alcotest.test_case "a coordinator departing on its own decision is silent"
+      `Quick (fun () ->
+        (* p1 coordinates subrun 1 after a decision that has p0 and p2
+           silent once: its own decision declares both crashed (K = 2), and
+           adopting it leaves p1 alone in its view.  Of the two queued
+           payloads, begin_subrun sends one; mid_subrun must send neither
+           the decision nor the other. *)
+        let m : unit Urcgc.Member.t = Urcgc.Member.create config (node 1) in
+        let d0 = Urcgc.Decision.initial ~n:3 in
+        ignore
+          (handle m
+             (Urcgc.Wire.Decision_pdu
+                { d0 with Urcgc.Decision.subrun = 0; attempts = [| 1; 0; 1 |] }));
+        Urcgc.Member.submit m ();
+        Urcgc.Member.submit m ();
+        ignore (begin_subrun m ~subrun:1);
+        Alcotest.(check (list string))
+          "only the departure"
+          [ "left partitioned (solo view)" ]
+          (List.map describe (mid_subrun m ~subrun:1)));
   ]
 
 let urgc_recovery_tests =
@@ -238,6 +333,7 @@ let cbcast_stability_tests =
 let suite =
   [
     ("urcgc.member_edge", member_edge_tests);
+    ("urcgc.emission_order_rules", emission_order_tests);
     ("urgc.recovery", urgc_recovery_tests);
     ("cbcast.stability", cbcast_stability_tests);
   ]

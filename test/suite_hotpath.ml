@@ -386,139 +386,10 @@ let footprint_tests =
           after_1000 (words ()));
   ]
 
-(* -- member equivalence: sink emission vs the list-building reference ----
-
-   [Member_reference] is the pre-sink implementation kept verbatim as an
-   executable spec.  A lockstep twin of every node runs under both
-   implementations; every operation must produce identical action streams
-   (polymorphic equality covers the full PDU payloads, dependency arrays
-   included) and identical observable state.  The "network" is a queue of
-   in-flight bodies with random delivery order and random drops, so
-   recovery, decisions and departures are all exercised. *)
-
-let member_equivalence_runs = 40
-let member_equivalence_ops = 90
-
-let run_member_equivalence seed =
-  let n = 4 in
-  let config = Urcgc.Config.make ~n () in
-  let rng = Random.State.make [| 0xd0c5; seed |] in
-  let prod = Array.init n (fun i -> Urcgc.Member.create config (node i)) in
-  let refm = Array.init n (fun i -> Member_reference.create config (node i)) in
-  let inflight = ref [] in
-  let payload = ref 0 in
-  let subrun = ref 0 in
-  let mid_phase = ref false in
-  let fail fmt =
-    Format.kasprintf
-      (fun detail ->
-        Alcotest.failf "member equivalence mismatch (failing seed %d): %s"
-          seed detail)
-      fmt
-  in
-  let check_actions ctx i (pa : int Urcgc.Member.action list) ra =
-    if pa <> ra then fail "%s: node %d action streams differ" ctx i
-  in
-  let check_state ctx i =
-    let p = prod.(i) and r = refm.(i) in
-    if Urcgc.Member.active p <> Member_reference.active r then
-      fail "%s: node %d active" ctx i;
-    if Urcgc.Member.left_reason p <> Member_reference.left_reason r then
-      fail "%s: node %d left_reason" ctx i;
-    if Urcgc.Member.history_length p <> Member_reference.history_length r then
-      fail "%s: node %d history_length" ctx i;
-    if Urcgc.Member.waiting_length p <> Member_reference.waiting_length r then
-      fail "%s: node %d waiting_length" ctx i;
-    if Urcgc.Member.processed_count p <> Member_reference.processed_count r
-    then fail "%s: node %d processed_count" ctx i;
-    if Urcgc.Member.sap_backlog p <> Member_reference.sap_backlog r then
-      fail "%s: node %d sap_backlog" ctx i;
-    for o = 0 to n - 1 do
-      if
-        Urcgc.Member.last_processed p (node o)
-        <> Member_reference.last_processed r (node o)
-      then fail "%s: node %d last_processed of %d" ctx i o
-    done
-  in
-  let route i actions =
-    List.iter
-      (fun action ->
-        match action with
-        | Urcgc.Member.Broadcast body ->
-            for j = 0 to n - 1 do
-              if j <> i then inflight := !inflight @ [ (j, body) ]
-            done
-        | Urcgc.Member.Send (dst, body) ->
-            inflight := !inflight @ [ (Net.Node_id.to_int dst, body) ]
-        | Urcgc.Member.Processed _ | Urcgc.Member.Confirmed _
-        | Urcgc.Member.Queued _ | Urcgc.Member.Discarded _
-        | Urcgc.Member.Left _ ->
-            ())
-      actions
-  in
-  let remove_nth k l = List.filteri (fun j _ -> j <> k) l in
-  for step = 1 to member_equivalence_ops do
-    let ctx = Printf.sprintf "step %d" step in
-    (match Random.State.int rng 100 with
-    | r when r < 15 ->
-        let i = Random.State.int rng n in
-        incr payload;
-        Urcgc.Member.submit prod.(i) !payload;
-        Member_reference.submit refm.(i) !payload
-    | r when r < 40 ->
-        (* One half-round across every node, alternating begin/mid. *)
-        for i = 0 to n - 1 do
-          let pa, ra =
-            if !mid_phase then
-              ( Urcgc.Member.mid_subrun prod.(i) ~subrun:!subrun,
-                Member_reference.mid_subrun refm.(i) ~subrun:!subrun )
-            else
-              ( Urcgc.Member.begin_subrun prod.(i) ~subrun:!subrun,
-                Member_reference.begin_subrun refm.(i) ~subrun:!subrun )
-          in
-          check_actions ctx i pa ra;
-          route i pa
-        done;
-        if !mid_phase then incr subrun;
-        mid_phase := not !mid_phase
-    | r when r < 85 -> (
-        match !inflight with
-        | [] -> ()
-        | l ->
-            let k = Random.State.int rng (List.length l) in
-            let dst, body = List.nth l k in
-            inflight := remove_nth k l;
-            let pa = Urcgc.Member.handle prod.(dst) body in
-            let ra = Member_reference.handle refm.(dst) body in
-            check_actions ctx dst pa ra;
-            route dst pa)
-    | _ -> (
-        (* Lose one in-flight copy: recovery-from-history territory. *)
-        match !inflight with
-        | [] -> ()
-        | l -> inflight := remove_nth (Random.State.int rng (List.length l)) l));
-    for i = 0 to n - 1 do
-      check_state ctx i
-    done
-  done
-
-let member_equivalence_tests =
-  [
-    Alcotest.test_case
-      (Printf.sprintf "member equals reference model (%d randomized runs)"
-         member_equivalence_runs)
-      `Quick
-      (fun () ->
-        for seed = 0 to member_equivalence_runs - 1 do
-          run_member_equivalence seed
-        done);
-  ]
-
 let suite =
   [
     ("hotpath.history", history_tests);
     ("hotpath.oldest", oldest_tests);
     ("hotpath.equivalence", equivalence_tests);
     ("hotpath.footprint", footprint_tests);
-    ("hotpath.member_equivalence", member_equivalence_tests);
   ]

@@ -96,14 +96,17 @@ let flow_tests =
         let mid o s = Causal.Mid.make ~origin:(node o) ~seq:s in
         List.iter
           (fun s ->
+            let data =
+              Urcgc.Wire.Data
+                (Causal.Causal_msg.make ~mid:(mid 0 s) ~deps:[]
+                   ~payload_size:1 "x")
+            in
             ignore
-              (Urcgc.Member.handle m
-                 (Urcgc.Wire.Data
-                    (Causal.Causal_msg.make ~mid:(mid 0 s) ~deps:[]
-                       ~payload_size:1 "x"))))
+              (Urcgc.Member.collect (fun sink ->
+                   Urcgc.Member.handle m sink data)))
           [ 1; 2 ];
         Urcgc.Member.submit m "blocked";
-        ignore (Urcgc.Member.begin_subrun m ~subrun:0);
+        ignore (Urcgc.Member.collect (Urcgc.Member.begin_subrun m ~subrun:0));
         Alcotest.(check bool) "blocked at threshold" true
           (Urcgc.Member.flow_blocked m);
         (* A full-group decision purges the history; the next round must
@@ -117,8 +120,12 @@ let flow_tests =
             stable = [| 2; 0; 0 |];
           }
         in
-        ignore (Urcgc.Member.handle m (Urcgc.Wire.Decision_pdu d));
-        let actions = Urcgc.Member.mid_subrun m ~subrun:0 in
+        ignore
+          (Urcgc.Member.collect (fun sink ->
+               Urcgc.Member.handle m sink (Urcgc.Wire.Decision_pdu d)));
+        let actions =
+          Urcgc.Member.collect (Urcgc.Member.mid_subrun m ~subrun:0)
+        in
         Alcotest.(check bool) "unblocked and sent" true
           (List.exists
              (function

@@ -257,6 +257,16 @@ let coordinator_tests =
 
 (* -- member unit behaviour ---------------------------------------------- *)
 
+(* One call's emissions, read as a list through [Urcgc.Member.collect]. *)
+let begin_subrun m ~subrun =
+  Urcgc.Member.collect (Urcgc.Member.begin_subrun m ~subrun)
+
+let mid_subrun m ~subrun =
+  Urcgc.Member.collect (Urcgc.Member.mid_subrun m ~subrun)
+
+let handle m body =
+  Urcgc.Member.collect (fun sink -> Urcgc.Member.handle m sink body)
+
 let find_map f actions = List.find_map f actions
 
 let sent_request actions =
@@ -272,7 +282,7 @@ let member_tests =
     Alcotest.test_case "begin_subrun sends the request to the coordinator"
       `Quick (fun () ->
         let m : unit Urcgc.Member.t = Urcgc.Member.create config (node 1) in
-        let actions = Urcgc.Member.begin_subrun m ~subrun:0 in
+        let actions = begin_subrun m ~subrun:0 in
         match sent_request actions with
         | Some (dst, r) ->
             Alcotest.(check int) "to p0" 0 (Net.Node_id.to_int dst);
@@ -281,13 +291,13 @@ let member_tests =
     Alcotest.test_case "coordinator keeps its own request locally" `Quick
       (fun () ->
         let m : unit Urcgc.Member.t = Urcgc.Member.create config (node 0) in
-        let actions = Urcgc.Member.begin_subrun m ~subrun:0 in
+        let actions = begin_subrun m ~subrun:0 in
         Alcotest.(check bool) "no self-send" true (sent_request actions = None));
     Alcotest.test_case "coordinator broadcasts a decision at mid-subrun" `Quick
       (fun () ->
         let m : unit Urcgc.Member.t = Urcgc.Member.create config (node 0) in
-        ignore (Urcgc.Member.begin_subrun m ~subrun:0);
-        let actions = Urcgc.Member.mid_subrun m ~subrun:0 in
+        ignore (begin_subrun m ~subrun:0);
+        let actions = mid_subrun m ~subrun:0 in
         let decision =
           find_map
             (function
@@ -302,7 +312,7 @@ let member_tests =
       `Quick (fun () ->
         let m = Urcgc.Member.create config (node 1) in
         Urcgc.Member.submit m "hello";
-        let actions = Urcgc.Member.begin_subrun m ~subrun:0 in
+        let actions = begin_subrun m ~subrun:0 in
         let has f = List.exists f actions in
         Alcotest.(check bool) "broadcast" true
           (has (function
@@ -319,9 +329,9 @@ let member_tests =
         let m = Urcgc.Member.create config (node 1) in
         Urcgc.Member.submit m "a";
         Urcgc.Member.submit m "b";
-        ignore (Urcgc.Member.begin_subrun m ~subrun:0);
+        ignore (begin_subrun m ~subrun:0);
         Alcotest.(check int) "backlog 1" 1 (Urcgc.Member.sap_backlog m);
-        ignore (Urcgc.Member.mid_subrun m ~subrun:0);
+        ignore (mid_subrun m ~subrun:0);
         Alcotest.(check int) "backlog 0" 0 (Urcgc.Member.sap_backlog m));
     Alcotest.test_case "data with missing deps goes to the waiting list" `Quick
       (fun () ->
@@ -329,7 +339,7 @@ let member_tests =
         let msg2 =
           Causal.Causal_msg.make ~mid:(mid 0 2) ~deps:[] ~payload_size:4 "x"
         in
-        let actions = Urcgc.Member.handle m (Urcgc.Wire.Data msg2) in
+        let actions = handle m (Urcgc.Wire.Data msg2) in
         (match actions with
         | [ Urcgc.Member.Queued (queued_mid, depth) ] ->
             Alcotest.(check bool)
@@ -342,7 +352,7 @@ let member_tests =
         let msg1 =
           Causal.Causal_msg.make ~mid:(mid 0 1) ~deps:[] ~payload_size:4 "y"
         in
-        let actions = Urcgc.Member.handle m (Urcgc.Wire.Data msg1) in
+        let actions = handle m (Urcgc.Wire.Data msg1) in
         let processed =
           List.filter_map
             (function
@@ -357,8 +367,8 @@ let member_tests =
         let msg1 =
           Causal.Causal_msg.make ~mid:(mid 0 1) ~deps:[] ~payload_size:4 "y"
         in
-        ignore (Urcgc.Member.handle m (Urcgc.Wire.Data msg1));
-        let actions = Urcgc.Member.handle m (Urcgc.Wire.Data msg1) in
+        ignore (handle m (Urcgc.Wire.Data msg1));
+        let actions = handle m (Urcgc.Wire.Data msg1) in
         Alcotest.(check int) "nothing" 0 (List.length actions);
         Alcotest.(check int) "processed once" 1 (Urcgc.Member.processed_count m));
     Alcotest.test_case "suicide on a decision that declares us crashed" `Quick
@@ -372,7 +382,7 @@ let member_tests =
             alive = [| true; false; true |];
           }
         in
-        let actions = Urcgc.Member.handle m (Urcgc.Wire.Decision_pdu d) in
+        let actions = handle m (Urcgc.Wire.Decision_pdu d) in
         Alcotest.(check bool) "left" true
           (List.exists
              (function
@@ -386,7 +396,7 @@ let member_tests =
         List.iter
           (fun s ->
             ignore
-              (Urcgc.Member.handle m
+              (handle m
                  (Urcgc.Wire.Data
                     (Causal.Causal_msg.make ~mid:(mid 0 s) ~deps:[]
                        ~payload_size:4 "m"))))
@@ -401,15 +411,15 @@ let member_tests =
             stable = [| 2; 0; 0 |];
           }
         in
-        ignore (Urcgc.Member.handle m (Urcgc.Wire.Decision_pdu d));
+        ignore (handle m (Urcgc.Wire.Decision_pdu d));
         Alcotest.(check int) "purged to 1" 1 (Urcgc.Member.history_length m));
     Alcotest.test_case "stale decision does not regress state" `Quick (fun () ->
         let m : unit Urcgc.Member.t = Urcgc.Member.create config (node 1) in
         let d0 = Decisions.initial 3 in
         let newer = { d0 with Urcgc.Decision.subrun = 5 } in
         let older = { d0 with Urcgc.Decision.subrun = 2 } in
-        ignore (Urcgc.Member.handle m (Urcgc.Wire.Decision_pdu newer));
-        ignore (Urcgc.Member.handle m (Urcgc.Wire.Decision_pdu older));
+        ignore (handle m (Urcgc.Wire.Decision_pdu newer));
+        ignore (handle m (Urcgc.Wire.Decision_pdu older));
         Alcotest.(check int) "kept newer" 5
           (Urcgc.Member.latest_decision m).Urcgc.Decision.subrun);
     Alcotest.test_case "recovery request targets the most updated process"
@@ -424,8 +434,8 @@ let member_tests =
             most_updated = [| node 2; node 1; node 2 |];
           }
         in
-        ignore (Urcgc.Member.handle m (Urcgc.Wire.Decision_pdu d));
-        let actions = Urcgc.Member.begin_subrun m ~subrun:1 in
+        ignore (handle m (Urcgc.Wire.Decision_pdu d));
+        let actions = begin_subrun m ~subrun:1 in
         let recover =
           find_map
             (function
@@ -445,13 +455,13 @@ let member_tests =
         List.iter
           (fun s ->
             ignore
-              (Urcgc.Member.handle m
+              (handle m
                  (Urcgc.Wire.Data
                     (Causal.Causal_msg.make ~mid:(mid 0 s) ~deps:[]
                        ~payload_size:4 "m"))))
           [ 1; 2; 3 ];
         let actions =
-          Urcgc.Member.handle m
+          handle m
             (Urcgc.Wire.Recover_req
                { requester = node 1; origin = node 0; from_seq = 2; to_seq = 3 })
         in
@@ -474,7 +484,7 @@ let member_tests =
         (* silence_limit = 2k = 4 subruns without any decision *)
         let left = ref false in
         for s = 0 to 5 do
-          let actions = Urcgc.Member.begin_subrun m ~subrun:s in
+          let actions = begin_subrun m ~subrun:s in
           if
             List.exists
               (function
@@ -497,7 +507,7 @@ let member_tests =
         let left_at = ref None in
         let s = ref 0 in
         while Urcgc.Member.active m && !s <= 6 do
-          let actions = Urcgc.Member.begin_subrun m ~subrun:!s in
+          let actions = begin_subrun m ~subrun:!s in
           if
             List.exists
               (function
@@ -507,8 +517,7 @@ let member_tests =
           then left_at := Some !s
           else
             ignore
-              (Urcgc.Member.handle m
-                 (Urcgc.Wire.Decision_pdu (self_decision !s)));
+              (handle m (Urcgc.Wire.Decision_pdu (self_decision !s)));
           incr s
         done;
         (* silence_limit = 2k = 4: the counter first increments at subrun 1
@@ -523,7 +532,7 @@ let member_tests =
             coordinator = node 0 }
         in
         for s = 0 to 7 do
-          let actions = Urcgc.Member.begin_subrun m ~subrun:s in
+          let actions = begin_subrun m ~subrun:s in
           Alcotest.(check bool)
             (Printf.sprintf "still active at subrun %d" s)
             false
@@ -531,7 +540,7 @@ let member_tests =
                (function Urcgc.Member.Left _ -> true | _ -> false)
                actions);
           ignore
-            (Urcgc.Member.handle m (Urcgc.Wire.Decision_pdu (peer_decision s)))
+            (handle m (Urcgc.Wire.Decision_pdu (peer_decision s)))
         done;
         Alcotest.(check bool) "active past 2x the limit" true
           (Urcgc.Member.active m));
@@ -544,7 +553,7 @@ let member_tests =
         let left_at = ref None in
         let s = ref 0 in
         while Urcgc.Member.active m && !s <= 6 do
-          let actions = Urcgc.Member.begin_subrun m ~subrun:!s in
+          let actions = begin_subrun m ~subrun:!s in
           if
             List.exists
               (function
@@ -552,7 +561,7 @@ let member_tests =
                 | _ -> false)
               actions
           then left_at := Some !s
-          else if !s = 1 then ignore (Urcgc.Member.mid_subrun m ~subrun:1);
+          else if !s = 1 then ignore (mid_subrun m ~subrun:1);
           incr s
         done;
         Alcotest.(check (option int)) "solo coordination bought no time"
@@ -567,7 +576,7 @@ let member_tests =
         let left_at = ref None in
         let s = ref 0 in
         while Urcgc.Member.active m && !s <= 8 do
-          let actions = Urcgc.Member.begin_subrun m ~subrun:!s in
+          let actions = begin_subrun m ~subrun:!s in
           if
             List.exists
               (function
@@ -577,9 +586,9 @@ let member_tests =
           then left_at := Some !s
           else if !s = 1 then begin
             ignore
-              (Urcgc.Member.handle m
+              (handle m
                  (Urcgc.Wire.Request (request ~sender:0 ~subrun:1 ~prev:(Decisions.initial 3) 3)));
-            ignore (Urcgc.Member.mid_subrun m ~subrun:1)
+            ignore (mid_subrun m ~subrun:1)
           end;
           incr s
         done;
@@ -590,12 +599,12 @@ let member_tests =
            yourself (while n > 1) means the rest of the group is gone or
            unreachable — depart instead of self-coordinating. *)
         let m : unit Urcgc.Member.t = Urcgc.Member.create config (node 1) in
-        ignore (Urcgc.Member.begin_subrun m ~subrun:0);
+        ignore (begin_subrun m ~subrun:0);
         let solo =
           { (Decisions.initial 3) with Urcgc.Decision.subrun = 0;
             coordinator = node 0; alive = [| false; true; false |] }
         in
-        let actions = Urcgc.Member.handle m (Urcgc.Wire.Decision_pdu solo) in
+        let actions = handle m (Urcgc.Wire.Decision_pdu solo) in
         Alcotest.(check bool) "left partitioned" true
           (List.exists
              (function
@@ -623,10 +632,10 @@ let member_tests =
           Causal.Causal_msg.make ~mid:(mid 0 1) ~deps:[ mid 1 1 ]
             ~payload_size:4 "x"
         in
-        ignore (Urcgc.Member.handle m (Urcgc.Wire.Data blocked));
+        ignore (handle m (Urcgc.Wire.Data blocked));
         Alcotest.(check int) "waiting" 1 (Urcgc.Member.waiting_length m);
         Urcgc.Member.submit m "mine";
-        let actions = Urcgc.Member.begin_subrun m ~subrun:0 in
+        let actions = begin_subrun m ~subrun:0 in
         let data_order =
           List.filter_map
             (function
@@ -658,7 +667,7 @@ let member_tests =
         List.iter
           (fun (o, s) ->
             ignore
-              (Urcgc.Member.handle m
+              (handle m
                  (Urcgc.Wire.Data
                     (Causal.Causal_msg.make ~mid:(mid o s) ~deps:[]
                        ~payload_size:4 "w"))))
@@ -677,7 +686,7 @@ let member_tests =
             min_waiting = [| 2; 0; 2; 0 |];
           }
         in
-        let actions = Urcgc.Member.handle m (Urcgc.Wire.Decision_pdu d) in
+        let actions = handle m (Urcgc.Wire.Decision_pdu d) in
         let discards =
           List.filter_map
             (function Urcgc.Member.Discarded mids -> Some mids | _ -> None)
@@ -697,13 +706,13 @@ let member_tests =
         List.iter
           (fun s ->
             ignore
-              (Urcgc.Member.handle m
+              (handle m
                  (Urcgc.Wire.Data
                     (Causal.Causal_msg.make ~mid:(mid 0 s) ~deps:[]
                        ~payload_size:4 "m"))))
           [ 1; 2 ];
         Urcgc.Member.submit m "blocked";
-        let actions = Urcgc.Member.begin_subrun m ~subrun:0 in
+        let actions = begin_subrun m ~subrun:0 in
         Alcotest.(check bool) "no data broadcast" false
           (List.exists
              (function
@@ -718,7 +727,7 @@ let member_tests =
         Urcgc.Member.submit ~deps:[ mid 0 3 ] m "bad";
         Alcotest.(check bool) "raises" true
           (try
-             ignore (Urcgc.Member.begin_subrun m ~subrun:0);
+             ignore (begin_subrun m ~subrun:0);
              false
            with Invalid_argument _ -> true));
   ]

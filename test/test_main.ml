@@ -1,3 +1,6 @@
+(* Alcotest pads the suite column to the longest suite name (26 characters)
+   and cuts test names to fit 80 columns, so renaming or removing the
+   longest suite changes how every long test name prints. *)
 let () =
   Alcotest.run "urcgc-repro"
     (Suite_sim.suite @ Suite_net.suite @ Suite_causal.suite @ Suite_urcgc.suite @ Suite_urcgc2.suite @ Suite_urgc.suite
