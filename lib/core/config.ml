@@ -23,10 +23,3 @@ let make ?(k = 3) ?r ?flow_threshold ?silence_limit ?(payload_size = 64) ~n () =
   { n; k; r; flow_threshold; silence_limit; payload_size }
 
 let resilience t = (t.n - 1) / 2
-
-let pp ppf t =
-  Format.fprintf ppf "{n=%d; K=%d; R=%d; flow=%a; silence=%d}" t.n t.k t.r
-    (Format.pp_print_option
-       ~none:(fun ppf () -> Format.pp_print_string ppf "off")
-       Format.pp_print_int)
-    t.flow_threshold t.silence_limit

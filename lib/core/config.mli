@@ -41,5 +41,3 @@ val make :
 val resilience : t -> int
 (** The paper's resilience degree [t = (n-1)/2]: the highest number of
     allowed failures per subrun that still guarantees decision circulation. *)
-
-val pp : Format.formatter -> t -> unit

@@ -50,9 +50,7 @@ type 'a submission = { payload : 'a; deps : Causal.Mid.t list option; size : int
 type 'a t = {
   id : Net.Node_id.t;
   config : Config.t;
-  delivery : Causal.Delivery.t;
-  history : 'a Causal.History.t;
-  waiting : 'a Causal.Waiting_list.t;
+  gmt : 'a Gmt.t;
   view : Causal.Group_view.t;
   sap : 'a submission Queue.t;
   mutable decision : Decision.t;
@@ -79,9 +77,7 @@ let create ?decision config id =
   {
     id;
     config;
-    delivery = Causal.Delivery.create ~n;
-    history = Causal.History.create ~n;
-    waiting = Causal.Waiting_list.create ~n;
+    gmt = Gmt.create ~n;
     view = Causal.Group_view.create ~n;
     sap = Queue.create ();
     decision;
@@ -103,10 +99,11 @@ let active t = t.left = None
 let left_reason t = t.left
 let view t = t.view
 let latest_decision t = t.decision
-let history_length t = Causal.History.length t.history
-let waiting_length t = Causal.Waiting_list.length t.waiting
-let processed_count t = Causal.Delivery.count t.delivery
-let last_processed t origin = Causal.Delivery.last_processed t.delivery origin
+let history_length t = Causal.History.length t.gmt.history
+let waiting_length t = Causal.Waiting_list.length t.gmt.waiting
+let processed_count t = Causal.Delivery.count t.gmt.delivery
+let last_processed t origin =
+  Causal.Delivery.last_processed t.gmt.delivery origin
 let flow_blocked t = t.flow_blocked
 let sap_backlog t = Queue.length t.sap
 
@@ -118,39 +115,6 @@ let leave t sink reason =
   t.left <- Some reason;
   sink.emit_left reason
 
-(* -- message processing ---------------------------------------------- *)
-
-let process_one t sink msg =
-  Causal.Delivery.mark t.delivery msg.Causal.Causal_msg.mid;
-  Causal.History.store t.history msg;
-  sink.emit_processed msg
-
-(* Process [msg] then drain the waiting list: each processed message can make
-   further waiting ones processable. *)
-(* Top-level recursion so the per-delivery cascade allocates no closure. *)
-let rec drain_waiting t sink =
-  match Causal.Waiting_list.take_processable t.waiting t.delivery with
-  | None -> ()
-  | Some unblocked ->
-      process_one t sink unblocked;
-      drain_waiting t sink
-
-let process_cascade t sink msg =
-  process_one t sink msg;
-  if !Sim.Prof.on then Sim.Prof.enter "member.drain";
-  drain_waiting t sink;
-  if !Sim.Prof.on then Sim.Prof.exit ()
-
-let receive_data t sink msg =
-  let mid = msg.Causal.Causal_msg.mid in
-  if Causal.Delivery.processed t.delivery mid then ()
-  else if Causal.Delivery.processable t.delivery msg then
-    process_cascade t sink msg
-  else begin
-    Causal.Waiting_list.add t.waiting msg;
-    sink.emit_queued mid (Causal.Waiting_list.length t.waiting)
-  end
-
 (* -- data generation --------------------------------------------------- *)
 
 (* The sender's frontier, as an exact-size array sorted by [Mid.compare]
@@ -160,15 +124,14 @@ let frontier t =
   let self = Net.Node_id.to_int t.id in
   let count = ref 0 in
   for j = 0 to n - 1 do
-    if j <> self && Causal.Delivery.last_processed t.delivery (Net.Node_id.of_int j) > 0
-    then incr count
+    if j <> self && last_processed t (Net.Node_id.of_int j) > 0 then incr count
   done;
   let deps = ref [||] in
   let k = ref 0 in
   for j = 0 to n - 1 do
     if j <> self then begin
       let origin = Net.Node_id.of_int j in
-      let seq = Causal.Delivery.last_processed t.delivery origin in
+      let seq = last_processed t origin in
       if seq > 0 then begin
         let dep = Causal.Mid.make ~origin ~seq in
         if !k = 0 then deps := Array.make !count dep;
@@ -182,7 +145,7 @@ let frontier t =
 let update_flow_control t =
   match t.config.Config.flow_threshold with
   | None -> ()
-  | Some threshold -> t.flow_blocked <- Causal.History.length t.history >= threshold
+  | Some threshold -> t.flow_blocked <- history_length t >= threshold
 
 let generate_data t sink =
   update_flow_control t;
@@ -197,7 +160,7 @@ let generate_data t sink =
       | Some deps ->
           List.iter
             (fun dep ->
-              if not (Causal.Delivery.processed t.delivery dep) then
+              if not (Causal.Delivery.processed t.gmt.delivery dep) then
                 invalid_arg
                   (Format.asprintf
                      "Member.generate_data: explicit dependency %a not yet \
@@ -215,47 +178,12 @@ let generate_data t sink =
        its processed prefix by construction, and nothing the broadcast
        emission does reads the delivery state the cascade updates. *)
     sink.emit_broadcast (Wire.Data msg);
-    process_cascade t sink msg;
+    Gmt.process t.gmt ~processed:sink.emit_processed msg;
     sink.emit_confirmed mid;
     if !Sim.Prof.on then Sim.Prof.exit ()
   end
 
 (* -- decisions --------------------------------------------------------- *)
-
-let purge_history t (d : Decision.t) =
-  for j = 0 to t.config.Config.n - 1 do
-    ignore
-      (Causal.History.purge_upto t.history ~origin:(Net.Node_id.of_int j)
-         ~seq:d.stable.(j))
-  done
-
-(* Orphaned sequences: all holders of message (j, max_processed(j)+1) crashed,
-   so the gap between what anyone processed and the oldest waiting message can
-   never be filled.  The group agreed (full-group decision) to destroy the
-   waiting messages that depend on it. *)
-let purge_orphans t sink (d : Decision.t) =
-  if !Sim.Prof.on then Sim.Prof.enter "member.discard";
-  (* Accumulated in reverse, reversed once at the end: origins ascending,
-     each origin's mids in discard order. *)
-  let discarded = ref [] in
-  for j = 0 to t.config.Config.n - 1 do
-    if
-      (not d.alive.(j))
-      && d.min_waiting.(j) > 0
-      && d.min_waiting.(j) - d.max_processed.(j) > 1
-    then begin
-      let origin = Net.Node_id.of_int j in
-      let mids =
-        Causal.Waiting_list.discard_from t.waiting ~origin
-          ~seq:(d.max_processed.(j) + 1)
-      in
-      discarded := List.rev_append mids !discarded
-    end
-  done;
-  (match !discarded with
-  | [] -> ()
-  | mids -> sink.emit_discarded (List.rev mids));
-  if !Sim.Prof.on then Sim.Prof.exit ()
 
 (* [evidence] says whether adopting [d] proves some *other* process is still
    running: the decision was issued by another coordinator, or (when we
@@ -285,61 +213,22 @@ let adopt_decision t sink ~evidence d =
          away from a surviving majority, so the process departs instead of
          coordinating a group nobody else belongs to. *)
       leave t sink Partitioned
-    else if d.Decision.full_group then begin
-      purge_history t d;
-      purge_orphans t sink d
-    end;
+    else Gmt.purge t.gmt ~discarded:sink.emit_discarded d;
     if !Sim.Prof.on then Sim.Prof.exit ()
   end
 
 (* -- recovery ---------------------------------------------------------- *)
-
-(* Known gaps against the decision's max_processed vector, without building
-   the request PDUs: [count_recovery_gaps] feeds the stall tracker, and
-   [emit_recovery_requests] (origins ascending) builds the PDUs only when the
-   process stays in the group. *)
-let count_recovery_gaps t =
-  let d = t.decision in
-  let gaps = ref 0 in
-  for j = 0 to t.config.Config.n - 1 do
-    let origin = Net.Node_id.of_int j in
-    let mine = Causal.Delivery.last_processed t.delivery origin in
-    if
-      d.Decision.max_processed.(j) > mine
-      && not (Net.Node_id.equal d.Decision.most_updated.(j) t.id)
-    then incr gaps
-  done;
-  !gaps
-
-let emit_recovery_requests t sink =
-  let d = t.decision in
-  for j = 0 to t.config.Config.n - 1 do
-    let origin = Net.Node_id.of_int j in
-    let mine = Causal.Delivery.last_processed t.delivery origin in
-    if d.Decision.max_processed.(j) > mine then begin
-      let target = d.Decision.most_updated.(j) in
-      if not (Net.Node_id.equal target t.id) then
-        sink.emit_send target
-          (Wire.Recover_req
-             {
-               requester = t.id;
-               origin;
-               from_seq = mine + 1;
-               to_seq = d.Decision.max_processed.(j);
-             })
-    end
-  done
 
 (* Returns [true] when the process leaves (recovery exhausted): [gaps] many
    recovery requests are outstanding this subrun. *)
 let track_recovery_progress t sink ~gaps =
   if gaps = 0 then begin
     t.recovery_stalled <- 0;
-    t.recovery_baseline <- Causal.Delivery.count t.delivery;
+    t.recovery_baseline <- processed_count t;
     false
   end
   else begin
-    let count = Causal.Delivery.count t.delivery in
+    let count = processed_count t in
     if count > t.recovery_baseline then t.recovery_stalled <- 0
     else t.recovery_stalled <- t.recovery_stalled + 1;
     t.recovery_baseline <- count;
@@ -376,8 +265,8 @@ let my_request t ~subrun =
   {
     Wire.sender = t.id;
     subrun;
-    last_processed = Causal.Delivery.vector t.delivery;
-    waiting = Causal.Waiting_list.oldest_vector t.waiting;
+    last_processed = Causal.Delivery.vector t.gmt.delivery;
+    waiting = Causal.Waiting_list.oldest_vector t.gmt.waiting;
     prev_decision = t.decision;
   }
 
@@ -413,13 +302,14 @@ let begin_subrun t sink ~subrun =
       (* The stall tracker must run — and may retire the process — before
          anything is emitted: the subrun that exhausts recovery emits
          [Left Recovery_exhausted] and no request, recovery or data. *)
-      let gaps = count_recovery_gaps t in
+      let gaps = Gmt.gaps t.gmt ~self:t.id t.decision in
       if not (track_recovery_progress t sink ~gaps) then begin
         (match request_to with
         | Some coordinator ->
             sink.emit_send coordinator (Wire.Request request)
         | None -> ());
-        if gaps > 0 then emit_recovery_requests t sink;
+        if gaps > 0 then
+          Gmt.recover t.gmt ~self:t.id ~send:sink.emit_send t.decision;
         generate_data t sink
       end
     end
@@ -460,18 +350,12 @@ let mid_subrun t sink ~subrun =
 
 (* -- PDU handler ------------------------------------------------------- *)
 
-let handle_recover_req t sink { Wire.requester; origin; from_seq; to_seq } =
-  (* Cap the reply so a single PDU stays within a sane datagram budget. *)
-  let to_seq = min to_seq (from_seq + 63) in
-  let messages = Causal.History.range t.history ~origin ~lo:from_seq ~hi:to_seq in
-  if messages <> [] then
-    sink.emit_send requester
-      (Wire.Recover_reply { responder = t.id; messages })
-
 let handle t sink body =
   if active t then
     match body with
-    | Wire.Data msg -> receive_data t sink msg
+    | Wire.Data msg ->
+        Gmt.receive t.gmt ~processed:sink.emit_processed
+          ~queued:sink.emit_queued msg
     | Wire.Request r -> (
         match t.coordinator_for with
         | Some s when s = r.Wire.subrun ->
@@ -489,6 +373,13 @@ let handle t sink body =
         adopt_decision t sink
           ~evidence:(not (Net.Node_id.equal d.Decision.coordinator t.id))
           d
-    | Wire.Recover_req req -> handle_recover_req t sink req
+    | Wire.Recover_req req ->
+        Gmt.serve t.gmt.history ~self:t.id ~send:sink.emit_send req
     | Wire.Recover_reply { messages; _ } ->
-        List.iter (receive_data t sink) messages
+        (* One closure per reply: a partial application of [Gmt.receive]
+           would build a curried chain of them. *)
+        List.iter
+          (fun msg ->
+            Gmt.receive t.gmt ~processed:sink.emit_processed
+              ~queued:sink.emit_queued msg)
+          messages

@@ -1,4 +1,9 @@
-(** Per-process urcgc protocol entity.
+(** Per-process urcgc protocol entity: the GC sublayer of Section 5.
+
+    A member runs the subruns, the requests and decisions, coordinator
+    rotation, flow control and the departures, and drives one {!Gmt} (the
+    GMT sublayer: causal processing, history, orphan purge and recovery)
+    through its sink's closures.
 
     A member is a deterministic state machine: the two round hooks
     ({!begin_subrun}, {!mid_subrun}) and the PDU handler ({!handle}) each

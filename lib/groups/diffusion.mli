@@ -5,11 +5,13 @@
 
     A diffusion client is a passive receiver outside the peer group: it
     gets every data message and every coordinator decision the servers
-    multicast, processes data in causal order with the same waiting-list
-    machinery as a member, recovers misses from the servers' histories
-    (point-to-point, like any member), and applies the group's orphan-purge
-    agreements — but it never sends requests, never coordinates, and does
-    not count toward group decisions. *)
+    multicast, and it is one {!Urcgc.Gmt} fed those decisions, the same
+    processing, history, purge and recovery a member runs.  Its recover
+    requests go over an edge network to the servers' retention buffers (a
+    bounded tail of what each server processed), since a server's protocol
+    history drops a message once every member processed it.  A client never
+    sends a subrun request, never coordinates, and does not count toward
+    group decisions. *)
 
 type 'a client
 

@@ -34,20 +34,6 @@ let with_subrun_silence ~count ~population spec =
    determinism guarantee relies on. *)
 let float_str = Printf.sprintf "%.12g"
 
-let pp_spec ppf spec =
-  Format.fprintf ppf
-    "@[<h>crashes=[%a] send=%s recv=%s link=%s silenced=%d/%d@]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ";")
-       (fun ppf (node, time) ->
-         Format.fprintf ppf "%d@@%d" (Node_id.to_int node)
-           (Sim.Ticks.to_int time)))
-    spec.crashes
-    (float_str spec.send_omission)
-    (float_str spec.recv_omission)
-    (float_str spec.link_loss)
-    spec.silenced_per_subrun spec.population
-
 let json_of_spec spec =
   let buf = Buffer.create 128 in
   Buffer.add_string buf "{\"crashes\":[";

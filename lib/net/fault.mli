@@ -35,8 +35,6 @@ val with_subrun_silence : count:int -> population:int -> spec -> spec
 (** Adds the per-subrun silenced-set behaviour.  Raises [Invalid_argument]
     if [count < 0] or [count >= population]. *)
 
-val pp_spec : Format.formatter -> spec -> unit
-
 val json_of_spec : spec -> string
 (** Canonical machine-readable form of a fault spec, used by the campaign
     reports.  Crash times are given in ticks; field order is fixed, so equal

@@ -13,7 +13,6 @@ let to_int t = t
 
 let compare = Int.compare
 let equal = Int.equal
-let hash t = t
 
 let pp ppf t = Format.fprintf ppf "p%d" t
 

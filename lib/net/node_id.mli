@@ -13,7 +13,6 @@ val to_int : t -> int
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 
 val pp : Format.formatter -> t -> unit
 (** Prints as [p3]. *)

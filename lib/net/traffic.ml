@@ -1,14 +1,6 @@
 type kind = Data | Control | Recovery | Ack
 
-let kind_to_string = function
-  | Data -> "data"
-  | Control -> "control"
-  | Recovery -> "recovery"
-  | Ack -> "ack"
-
 let kind_index = function Data -> 0 | Control -> 1 | Recovery -> 2 | Ack -> 3
-
-let kinds = [ Data; Control; Recovery; Ack ]
 
 type t = { counts : int array; bytes : int array; max_sizes : int array }
 
@@ -37,10 +29,3 @@ let reset t =
   Array.fill t.counts 0 4 0;
   Array.fill t.bytes 0 4 0;
   Array.fill t.max_sizes 0 4 0
-
-let pp ppf t =
-  let pp_kind ppf kind =
-    Format.fprintf ppf "%s: %d pkts / %d B" (kind_to_string kind) (count t kind)
-      (bytes t kind)
-  in
-  Format.fprintf ppf "@[<v>%a@]" (Format.pp_print_list pp_kind) kinds

@@ -6,8 +6,6 @@
 
 type kind = Data | Control | Recovery | Ack
 
-val kind_to_string : kind -> string
-
 type t
 
 val create : unit -> t
@@ -28,5 +26,3 @@ val mean_size : t -> kind -> float
 val max_size : t -> kind -> int
 
 val reset : t -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -18,8 +18,6 @@ let zero = { tasks = 0; steals = 0; busy_ns = 0.; idle_ns = 0. }
 
 let reset_stats () = acc := [||]
 
-let stats () = Array.copy !acc
-
 let absorb per_call =
   let wanted = max (Array.length !acc) (Array.length per_call) in
   if Array.length !acc < wanted then begin

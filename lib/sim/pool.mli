@@ -30,14 +30,6 @@ type domain_stat = Pool_backend.domain_stat = {
 val reset_stats : unit -> unit
 (** Zero the cross-call per-domain accumulator. *)
 
-val stats : unit -> domain_stat array
-(** Per-worker-slot totals accumulated over every {!map} since
-    {!reset_stats} (or program start).  Index 0 is the calling domain;
-    the array is as long as the widest crew seen.  The inline [jobs <= 1]
-    path contributes to slot 0 with zero steals and zero idle.  Safe to
-    read between {!map} calls only — workers write their own slot and the
-    caller folds after the joins, so nothing here is cross-domain. *)
-
 val record_metrics : Metrics.t -> unit
 (** Increment [pool.d<i>.tasks] / [pool.d<i>.steals] / [pool.d<i>.busy_ns]
     / [pool.d<i>.idle_ns] counters from the current accumulator, one set

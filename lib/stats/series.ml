@@ -14,13 +14,6 @@ let y_at t x =
 
 let map_y t ~f = { t with points = List.map (fun (x, y) -> (x, f y)) t.points }
 
-let pp ppf t =
-  Format.fprintf ppf "@[<v 2>%s:@ %a@]" t.label
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf "@ ")
-       (fun ppf (x, y) -> Format.fprintf ppf "(%.3g, %.3g)" x y))
-    t.points
-
 let xs_union series =
   List.concat_map (fun s -> List.map fst s.points) series
   |> List.sort_uniq Float.compare

@@ -16,8 +16,6 @@ val y_at : t -> float -> float option
 
 val map_y : t -> f:(float -> float) -> t
 
-val pp : Format.formatter -> t -> unit
-
 val pp_table : Format.formatter -> t list -> unit
 (** Renders several series sharing their x values as an aligned text table,
     one row per x (union of all x values), one column per series. *)

@@ -54,8 +54,3 @@ let of_list samples =
       }
 
 let of_ints samples = of_list (List.map float_of_int samples)
-
-let pp ppf t =
-  Format.fprintf ppf
-    "n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p95=%.3f max=%.3f" t.count t.mean
-    t.stddev t.min t.p50 t.p95 t.max

@@ -22,5 +22,3 @@ val percentile : float array -> float -> float
 (** [percentile sorted q] with [q] in [0, 1], linear interpolation.  The
     array must be sorted ascending; raises [Invalid_argument] if empty or
     [q] out of range. *)
-
-val pp : Format.formatter -> t -> unit

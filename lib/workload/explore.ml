@@ -15,9 +15,12 @@ type config = {
   omission_choices : int;
   silenced : int;
   silence_mode : silence_mode;
-  max_deliveries_per_round : int;
   with_oracle : bool;
 }
+
+(* Safety valve against same-round delivery cascades; exceeding it is
+   reported as a violation. *)
+let max_deliveries_per_round = 256
 
 let validate c =
   let fail fmt = Printf.ksprintf invalid_arg fmt in
@@ -40,9 +43,6 @@ let validate c =
   if c.omission_choices < 0 then
     fail "Explore: omission_choices must be non-negative (got %d)"
       c.omission_choices;
-  if c.max_deliveries_per_round < 1 then
-    fail "Explore: max_deliveries_per_round must be positive (got %d)"
-      c.max_deliveries_per_round;
   List.iter
     (fun (node, round) ->
       if node < 0 || node >= c.n then
@@ -53,8 +53,7 @@ let validate c =
 
 let config ?(k = 2) ?messages ?(window_subruns = 1) ?horizon_subruns
     ?(crash_choices = false) ?(fixed_crashes = []) ?(omission_choices = 0)
-    ?(silenced = 0) ?(silence_mode = Persistent)
-    ?(max_deliveries_per_round = 256) ?(with_oracle = true) ~n () =
+    ?(silenced = 0) ?(silence_mode = Persistent) ?(with_oracle = true) ~n () =
   let messages = match messages with Some m -> m | None -> n in
   let horizon_subruns =
     match horizon_subruns with
@@ -73,7 +72,6 @@ let config ?(k = 2) ?messages ?(window_subruns = 1) ?horizon_subruns
       omission_choices;
       silenced;
       silence_mode;
-      max_deliveries_per_round;
       with_oracle;
     }
   in
@@ -310,7 +308,7 @@ let run_schedule c ctx =
       match next_dst 0 with
       | None -> ()
       | Some di ->
-          if !delivered > c.max_deliveries_per_round then begin
+          if !delivered > max_deliveries_per_round then begin
             (* Runaway same-round cascade: abandon the queued packets and
                report loudly rather than looping forever. *)
             cascade_capped := true;
@@ -418,7 +416,7 @@ let run_schedule c ctx =
       (generated * (n - 1));
   if !cascade_capped then
     addl "explore: same-round delivery cascade exceeded %d"
-      c.max_deliveries_per_round;
+      max_deliveries_per_round;
   let oracle_agrees, oracle_violations =
     if not c.with_oracle then (None, [])
     else
@@ -575,7 +573,6 @@ let of_campaign_spec ?(window_subruns = 2) (spec : Campaign.spec) =
            reproducers are short sustained bursts, so only the persistent
            adversary rediscovers them. *)
         silence_mode = Persistent;
-        max_deliveries_per_round = 256;
         with_oracle = false;
       }
 
@@ -607,7 +604,7 @@ let to_json r =
   Printf.bprintf b
     ",\"max_deliveries_per_round\":%d,\"with_oracle\":%s,\"prune\":%s,\
      \"max_schedules\":%d}"
-    c.max_deliveries_per_round (bool_str c.with_oracle) (bool_str r.prune)
+    max_deliveries_per_round (bool_str c.with_oracle) (bool_str r.prune)
     r.max_schedules;
   let s = r.stats in
   Printf.bprintf b

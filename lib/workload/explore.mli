@@ -75,9 +75,6 @@ type config = {
   silence_mode : silence_mode;
       (** whether the last window burst persists beyond the window;
           irrelevant when [silenced = 0] *)
-  max_deliveries_per_round : int;
-      (** safety valve against same-round delivery cascades; exceeding it
-          is reported as a violation *)
   with_oracle : bool;  (** run the {!Sim.Analysis} oracle per schedule *)
 }
 
@@ -91,7 +88,6 @@ val config :
   ?omission_choices:int ->
   ?silenced:int ->
   ?silence_mode:silence_mode ->
-  ?max_deliveries_per_round:int ->
   ?with_oracle:bool ->
   n:int ->
   unit ->
@@ -99,17 +95,17 @@ val config :
 (** Defaults: [k = 2], [messages = n], [window_subruns = 1],
     [horizon_subruns = window_subruns + 2k + 4] (long enough for expulsion
     and autonomous departure to settle), no crash branching, no fixed
-    crashes, no omissions, no silencing (mode [Persistent]),
-    [max_deliveries_per_round = 256], oracle on.  Raises
-    [Invalid_argument] (via {!validate}) on malformed values. *)
+    crashes, no omissions, no silencing (mode [Persistent]), oracle on.
+    More than 256 deliveries in one round (a runaway same-round cascade) is
+    reported as a violation.  Raises [Invalid_argument] (via {!validate})
+    on malformed values. *)
 
 val validate : config -> unit
 (** Raises [Invalid_argument] with a one-line diagnosis unless: [2 <= n],
     [1 <= k], [0 <= messages <= n * window_subruns] (the message program
     must fit the window), [1 <= window_subruns < horizon_subruns],
-    [0 <= silenced < n], [0 <= omission_choices], every fixed crash names a
-    node in range at a round before the horizon, and
-    [max_deliveries_per_round >= 1]. *)
+    [0 <= silenced < n], [0 <= omission_choices], and every fixed crash
+    names a node in range at a round before the horizon. *)
 
 type run_result = {
   violations : string list;

@@ -17,13 +17,6 @@ let make ?total_messages ?(payload_size = 64) ?(deps_mode = Frontier) ?senders
   | Some _ | None -> ());
   { rate; total_messages; payload_size; deps_mode; senders }
 
-let pp ppf t =
-  Format.fprintf ppf "{rate=%.2f; cap=%a; payload=%dB}" t.rate
-    (Format.pp_print_option
-       ~none:(fun ppf () -> Format.pp_print_string ppf "none")
-       Format.pp_print_int)
-    t.total_messages t.payload_size
-
 type injector = {
   load : t;
   rng : Sim.Rng.t;

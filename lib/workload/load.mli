@@ -35,8 +35,6 @@ val make :
 (** Defaults: no cap, 64-byte payloads, [Frontier], all processes.
     Raises [Invalid_argument] if [rate] is outside [0, 1]. *)
 
-val pp : Format.formatter -> t -> unit
-
 (** {2 Injection} *)
 
 type injector

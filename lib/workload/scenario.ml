@@ -32,7 +32,3 @@ let crash_at_subrun t node ~subrun =
   if subrun < 0 then invalid_arg "Scenario.crash_at_subrun: negative subrun";
   let time = Sim.Ticks.of_int ((subrun * Sim.Ticks.per_rtd) + 1) in
   { t with fault = { t.fault with crashes = (node, time) :: t.fault.crashes } }
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v 2>%s:@ config=%a@ load=%a@ seed=%d@]" t.name
-    Urcgc.Config.pp t.config Load.pp t.load t.seed

@@ -45,5 +45,3 @@ val make :
 val crash_at_subrun : t -> Net.Node_id.t -> subrun:int -> t
 (** Adds a fail-stop of the given process at the start of the given subrun
     (plus a tick, so the process still acts in earlier subruns). *)
-
-val pp : Format.formatter -> t -> unit

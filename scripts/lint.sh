@@ -16,6 +16,11 @@
 #     examples/ and the member stream driver draw only from Sim.Rng, since
 #     OCaml 5 changed Random's generator and the goldens must read the same
 #     on every CI compiler
+#   - one GMT sublayer: outside lib/causal/, lib/core/gmt.ml and the
+#     checker's Delivery replay (lib/workload/checker.ml), nothing in lib/,
+#     bin/ or examples/ calls Waiting_list.add, take_processable,
+#     discard_from or Delivery.mark, so no second processing loop grows
+#     back; bench/ and test/ exercise the structures directly
 #
 # Exits non-zero listing each offending file.
 
@@ -66,6 +71,16 @@ done
 if hits=$(git grep -n -E '(^|[^A-Za-z0-9_])Random\.' -- lib bin bench examples \
   test/member_stream.ml); then
   echo "lint: Stdlib Random where outputs are pinned (draw from Sim.Rng):" >&2
+  echo "$hits" | head -5 >&2
+  status=1
+fi
+
+if hits=$(git grep -n -E \
+  '(Waiting_list\.add|Delivery\.mark)([^A-Za-z0-9_]|$)|take_processable|discard_from' \
+  -- lib bin examples ':!lib/causal' ':!lib/core/gmt.ml' \
+  ':!lib/workload/checker.ml'); then
+  echo "lint: GMT structure changed outside Urcgc.Gmt (process, purge and" \
+    "recover through lib/core/gmt.ml):" >&2
   echo "$hits" | head -5 >&2
   status=1
 fi

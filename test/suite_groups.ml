@@ -47,8 +47,9 @@ let diffusion_tests =
             Alcotest.(check (list int)) "p1 in order" [ 1; 2; 3 ]
               (seqs (node 1)))
           (Groups.Diffusion.clients diffusion));
-    Alcotest.test_case "clients recover losses from the servers' histories"
-      `Quick (fun () ->
+    Alcotest.test_case
+      "clients recover losses from the servers' retention buffers" `Quick
+      (fun () ->
         let engine, net, cluster = build_cluster () in
         let diffusion =
           Groups.Diffusion.attach_clients cluster ~net ~client_ids:[ node 10 ]
@@ -119,6 +120,80 @@ let diffusion_tests =
           (Groups.Diffusion.waiting_length client);
         Alcotest.(check int) "nothing of p3 processed" 0
           (Groups.Diffusion.last_processed client (node 3)));
+    Alcotest.test_case "clients end with the survivors' processed set" `Slow
+      (fun () ->
+        (* Uniform atomicity extended to the diffusion group: under
+           omissions and a crash, every client processes exactly what the
+           survivors processed, and nothing a survivor discarded. *)
+        List.iter
+          (fun (omission, seed) ->
+            let fault =
+              Net.Fault.with_crashes
+                [ (node 2, Sim.Ticks.of_int ((5 * Sim.Ticks.per_rtd) + 1)) ]
+                (Net.Fault.omission_every omission)
+            in
+            let engine, net, cluster = build_cluster ~n:5 ~fault ~seed () in
+            let diffusion =
+              Groups.Diffusion.attach_clients cluster ~net
+                ~client_ids:[ node 10; node 11 ]
+            in
+            for i = 1 to 12 do
+              List.iter
+                (fun p -> Urcgc.Cluster.submit cluster (node p) i)
+                [ 0; 1; 2; 3; 4 ]
+            done;
+            Urcgc.Cluster.start cluster;
+            (* Past the crash's detection, to quiescence; then a few subruns
+               for the clients, which fetch what they miss once per
+               subrun. *)
+            Net.Group.run (Urcgc.Cluster.group cluster) ~max_rtd:100.0
+              ~until:(fun () ->
+                Urcgc.Cluster.subrun cluster >= 30
+                && Urcgc.Cluster.quiescent cluster);
+            let run = Printf.sprintf "omission 1/%d, seed %d" omission seed in
+            Alcotest.(check bool) (run ^ ": group quiescent") true
+              (Urcgc.Cluster.quiescent cluster);
+            Sim.Engine.run engine
+              ~until:
+                (Sim.Ticks.add (Sim.Engine.now engine) (Sim.Ticks.of_rtd 5.0));
+            let survivors = Urcgc.Cluster.active_members cluster in
+            let survivor = List.hd survivors in
+            let expected =
+              List.filter_map
+                (fun (d : _ Urcgc.Cluster.delivery) ->
+                  if Net.Node_id.equal d.node survivor then
+                    Some d.msg.Causal.Causal_msg.mid
+                  else None)
+                (Urcgc.Cluster.deliveries cluster)
+              |> List.sort Causal.Mid.compare
+            in
+            let discarded =
+              List.concat_map
+                (fun (who, mids, _) -> if List.mem who survivors then mids else [])
+                (Urcgc.Cluster.discards cluster)
+            in
+            List.iter
+              (fun client ->
+                let name =
+                  Format.asprintf "%s, client %a" run Net.Node_id.pp
+                    (Groups.Diffusion.client_id client)
+                in
+                let processed =
+                  List.map fst (Groups.Diffusion.processed client)
+                in
+                Alcotest.(check bool) (name ^ ": survivors' set") true
+                  (List.equal Causal.Mid.equal expected
+                     (List.sort Causal.Mid.compare processed));
+                Alcotest.(check bool) (name ^ ": no discarded mid") false
+                  (List.exists
+                     (fun mid -> List.exists (Causal.Mid.equal mid) discarded)
+                     processed);
+                Alcotest.(check int) (name ^ ": waiting list empty") 0
+                  (Groups.Diffusion.waiting_length client))
+              (Groups.Diffusion.clients diffusion))
+          (List.concat_map
+             (fun omission -> List.map (fun seed -> (omission, seed)) [ 1; 2; 3 ])
+             [ 300; 50; 20 ]));
   ]
 
 let client_server_tests =

@@ -659,7 +659,7 @@ let member_tests =
           "emission order" expected data_order);
     Alcotest.test_case "orphan discards come out origin-ascending" `Quick
       (fun () ->
-        (* Pins the discard emission order of [purge_orphans]: one
+        (* Pins the discard emission order of [Gmt.purge]: one
            [Discarded] action, origins ascending, each origin's mids in
            waiting order. *)
         let config = Urcgc.Config.make ~n:4 ~k:2 () in
