@@ -45,7 +45,6 @@ let experiments =
     ("service", "Service-rate ceiling: one message per process per round", Service.run);
     ("campaign", "Randomized fault campaign within and beyond the t budget", Campaign.run);
     ("analysis", "Offline trace analysis of a representative faulty run", Analysis.run);
-    ("explore", "Bounded schedule explorer throughput (schedules/sec)", Explore.run);
     ("micro", "Bechamel micro-benchmarks", Micro.run);
     ("hotpath", "Hot-path benchmarks with tracked JSON baseline", run_hotpath);
     ( "campaign-throughput",

@@ -22,21 +22,24 @@ type t = private {
   r : int;
   flow_threshold : int option;
   silence_limit : int;
-  payload_size : int;  (** default user payload size in bytes *)
 }
+
+val default_payload_size : int
+(** 64: the user payload size in bytes of a [Member.submit] without
+    [~size]. *)
 
 val make :
   ?k:int ->
   ?r:int ->
   ?flow_threshold:int option ->
   ?silence_limit:int ->
-  ?payload_size:int ->
   n:int ->
   unit ->
   t
 (** Defaults: [k = 3], [r = 2k + 4], [flow_threshold = None],
-    [silence_limit = 2k], [payload_size = 64].  Raises [Invalid_argument] on
-    non-positive [n], [k], [r], [payload_size], or [r <= k]. *)
+    [silence_limit = 2k].  Raises [Invalid_argument] on non-positive [n],
+    [k], [r] or [silence_limit], on [r <= k], and on a non-positive flow
+    threshold. *)
 
 val resilience : t -> int
 (** The paper's resilience degree [t = (n-1)/2]: the highest number of

@@ -108,7 +108,7 @@ let flow_blocked t = t.flow_blocked
 let sap_backlog t = Queue.length t.sap
 
 let submit ?deps ?size t payload =
-  let size = Option.value size ~default:t.config.Config.payload_size in
+  let size = Option.value size ~default:Config.default_payload_size in
   Queue.push { payload; deps; size } t.sap
 
 let leave t sink reason =

@@ -102,7 +102,7 @@ val submit : ?deps:Causal.Mid.t list -> ?size:int -> 'a t -> 'a -> unit
     control.  [deps] are the explicit causal dependencies; they default to
     the sender's current frontier (the last processed message of every other
     origin), the densest labelling allowed by Definition 3.1's intermediate
-    interpretation.  [size] defaults to the configured payload size. *)
+    interpretation.  [size] defaults to {!Config.default_payload_size}. *)
 
 val begin_subrun : 'a t -> 'a sink -> subrun:int -> unit
 

@@ -29,11 +29,6 @@ let with_subrun_silence ~count ~population spec =
     invalid_arg "Fault.with_subrun_silence: count must be in [0, population)";
   { spec with silenced_per_subrun = count; population }
 
-(* %.12g keeps the full double precision of the probabilities while printing
-   0.0 as "0": the output is a pure function of the spec, which the campaign
-   determinism guarantee relies on. *)
-let float_str = Printf.sprintf "%.12g"
-
 let json_of_spec spec =
   let buf = Buffer.create 128 in
   Buffer.add_string buf "{\"crashes\":[";
@@ -45,9 +40,9 @@ let json_of_spec spec =
     spec.crashes;
   Printf.bprintf buf
     "],\"send_omission\":%s,\"recv_omission\":%s,\"link_loss\":%s,\"silenced_per_subrun\":%d,\"population\":%d}"
-    (float_str spec.send_omission)
-    (float_str spec.recv_omission)
-    (float_str spec.link_loss)
+    (Sim.Json.float_str spec.send_omission)
+    (Sim.Json.float_str spec.recv_omission)
+    (Sim.Json.float_str spec.link_loss)
     spec.silenced_per_subrun spec.population;
   Buffer.contents buf
 

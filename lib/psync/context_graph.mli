@@ -8,7 +8,6 @@
 
 type mid = { sender : Net.Node_id.t; seq : int }
 
-val mid_compare : mid -> mid -> int
 val pp_mid : Format.formatter -> mid -> unit
 
 type 'a node = {
@@ -30,9 +29,6 @@ val attached : 'a t -> int
 val leaves : 'a t -> mid list
 (** Current leaves (messages without attached successors), in mid order —
     what a new message of this participant will list as predecessors. *)
-
-val missing_preds : 'a t -> 'a node -> mid list
-(** Predecessors of [node] not yet attached. *)
 
 val attach : 'a t -> 'a node -> ('a node list, mid list) result
 (** Attach the node if all predecessors are present: returns the list of

@@ -17,20 +17,36 @@
    Analysis happens below the protocol libraries, so nodes are integer
    indices and messages are (origin, seq) pairs, exactly as traced. *)
 
-let float_str = Printf.sprintf "%.12g"
-
 (* -- distributions -------------------------------------------------------- *)
 
-let scale_summary k (d : Metrics.summary) =
+let rec fill_ticks a i sum = function
+  | [] -> sum
+  | tick :: rest ->
+      a.(i) <- float_of_int tick;
+      fill_ticks a (i + 1) (sum + tick) rest
+
+(* Nearest-rank, as the metrics histograms; an int sum is exact in any
+   order. *)
+let summary_of_ticks = function
+  | [] -> Stats.Summary.empty
+  | ticks ->
+      let count = List.length ticks in
+      let samples = Array.make count 0.0 in
+      let sum = fill_ticks samples 0 0 ticks in
+      Stats.Summary.nearest_rank samples count ~sum:(float_of_int sum)
+
+let scale_summary k (d : Stats.Summary.t) =
   if d.count = 0 then d
   else
     {
       d with
       mean = d.mean *. k;
+      stddev = d.stddev *. k;
       min = d.min *. k;
       max = d.max *. k;
       p50 = d.p50 *. k;
       p95 = d.p95 *. k;
+      p99 = d.p99 *. k;
     }
 
 (* -- result types --------------------------------------------------------- *)
@@ -81,9 +97,9 @@ type t = {
   nodes : int;
   coverage : coverage;
   spans : span list;
-  latency_ticks : Metrics.summary;
-  stability_ticks : Metrics.summary;
-  waiting : Metrics.summary;
+  latency_ticks : Stats.Summary.t;
+  stability_ticks : Stats.Summary.t;
+  waiting : Stats.Summary.t;
   rotations : (int * int) list;
   decisions : (int * int) list;
   recover_requests : int;
@@ -577,9 +593,9 @@ let analyze ?n ?(complete : bool option) ?metrics_json records =
         pre_window_mids = Hashtbl.length pre_window;
       };
     spans;
-    latency_ticks = Metrics.summary_of_ints !latency_samples;
-    stability_ticks = Metrics.summary_of_ints !stability_samples;
-    waiting = Metrics.summary_of_ints !waiting_samples;
+    latency_ticks = summary_of_ticks !latency_samples;
+    stability_ticks = summary_of_ticks !stability_samples;
+    waiting = summary_of_ticks !waiting_samples;
     rotations = assoc_of_array rotations;
     decisions = assoc_of_array decisions;
     recover_requests = !recover_req_count;
@@ -848,13 +864,13 @@ let parse_jsonl lines =
 
 (* -- canonical report export ---------------------------------------------- *)
 
-let buf_summary buf (d : Metrics.summary) =
+let buf_summary buf (d : Stats.Summary.t) =
   if d.count = 0 then Buffer.add_string buf "{\"count\":0}"
   else
     Printf.bprintf buf
       "{\"count\":%d,\"mean\":%s,\"min\":%s,\"max\":%s,\"p50\":%s,\"p95\":%s}"
-      d.count (float_str d.mean) (float_str d.min) (float_str d.max)
-      (float_str d.p50) (float_str d.p95)
+      d.count (Json.float_str d.mean) (Json.float_str d.min)
+      (Json.float_str d.max) (Json.float_str d.p50) (Json.float_str d.p95)
 
 let buf_int_list buf items =
   Buffer.add_char buf '[';

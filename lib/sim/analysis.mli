@@ -73,11 +73,11 @@ type t = {
   nodes : int;
   coverage : coverage;
   spans : span list;  (** sorted by [(origin, seq)] *)
-  latency_ticks : Metrics.summary;
+  latency_ticks : Stats.Summary.t;
       (** broadcast-to-processing, remote deliveries; each tick summary is
-          {!Metrics.summary_of_ints}, all-zero when empty *)
-  stability_ticks : Metrics.summary;  (** broadcast to group-wide stability *)
-  waiting : Metrics.summary;  (** waiting-list residency per stay *)
+          {!Stats.Summary.nearest_rank}, all-zero when empty *)
+  stability_ticks : Stats.Summary.t;  (** broadcast to group-wide stability *)
+  waiting : Stats.Summary.t;  (** waiting-list residency per stay *)
   rotations : (int * int) list;  (** coordinator node -> rotations led *)
   decisions : (int * int) list;  (** coordinator node -> decision PDUs *)
   recover_requests : int;

@@ -1,11 +1,13 @@
-(* Minimal strict JSON reader for the offline trace analyzer.
+(* Minimal strict JSON reader for the offline trace analyzer, and the one
+   writer of JSON strings and floats.
 
    The repo's JSON exports (trace JSONL, campaign reports, the analysis
-   report itself) are hand-serialized for byte determinism; this is the
-   matching reader.  It is deliberately small and strict: the full value
-   must parse with nothing but whitespace after it, objects keep their field
-   order (the analyzer checks the documented fixed order), and malformed
-   input yields a positioned error instead of a best-effort value. *)
+   report itself) are hand-serialized for byte determinism through
+   [buf_string] and [float_str]; this is the matching reader.  It is
+   deliberately small and strict: the full value must parse with nothing
+   but whitespace after it, objects keep their field order (the analyzer
+   checks the documented fixed order), and malformed input yields a
+   positioned error instead of a best-effort value. *)
 
 type t =
   | Null
@@ -256,7 +258,7 @@ let member name = function
   | Obj fields -> List.assoc_opt name fields
   | _ -> None
 
-(* -- serialization helper (shared escaping rules with the exporters) ----- *)
+(* -- writing: the one string escaper and float format of every export ---- *)
 
 let buf_string buf s =
   Buffer.add_char buf '"';
@@ -272,6 +274,12 @@ let buf_string buf s =
       | c -> Buffer.add_char buf c)
     s;
   Buffer.add_char buf '"'
+
+(* %.12g: twelve significant digits, integral values without a trailing
+   ".0", so an export is a pure function of the values it prints. *)
+let float_str = Printf.sprintf "%.12g"
+
+let buf_float buf f = Buffer.add_string buf (float_str f)
 
 let buf_string_list buf items =
   Buffer.add_char buf '[';

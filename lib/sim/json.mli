@@ -1,10 +1,12 @@
-(** Minimal strict JSON reader.
+(** Minimal strict JSON reader, and the one writer of JSON strings and
+    floats.
 
     The matching reader for the repo's hand-serialized, byte-deterministic
-    JSON exports (the trace JSONL of [docs/TRACE.md] in particular).  Object
-    fields keep their source order, so a consumer can enforce the documented
-    fixed field layout; numbers parse to [Int] when the lexeme is integral
-    and representable, [Float] otherwise. *)
+    JSON exports (the trace JSONL of [docs/TRACE.md] in particular), which
+    all escape strings with {!buf_string} and print floats with
+    {!float_str}.  Object fields keep their source order, so a consumer can
+    enforce the documented fixed field layout; numbers parse to [Int] when
+    the lexeme is integral and representable, [Float] otherwise. *)
 
 type t =
   | Null
@@ -24,9 +26,15 @@ val member : string -> t -> t option
 (** Field lookup on an [Obj]; [None] on missing fields and non-objects. *)
 
 val buf_string : Buffer.t -> string -> unit
-(** Append [s] as a JSON string literal, escaped exactly like the repo's
-    exporters (quote, backslash, newline and tab get named escapes; other
-    control bytes render as [\u00XX]). *)
+(** Append [s] as a JSON string literal: quote, backslash, newline and tab
+    get named escapes; other control bytes render as [\u00XX]. *)
+
+val float_str : float -> string
+(** [%.12g]: twelve significant digits, integral values without a
+    trailing [.0] ([0.0] prints as [0]). *)
+
+val buf_float : Buffer.t -> float -> unit
+(** Append {!float_str}'s text. *)
 
 val buf_string_list : Buffer.t -> string list -> unit
 (** Append a JSON array of string literals, each escaped as by

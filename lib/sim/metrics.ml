@@ -1,12 +1,10 @@
-(* %.12g keeps full double precision while printing integral values without
-   a trailing ".0": the JSON is a pure function of the recorded samples. *)
-let float_str = Printf.sprintf "%.12g"
-
 type gauge = { mutable last : int; mutable peak : int }
 
+(* Samples in a flat float buffer, [buf.(0 .. len - 1)]; [sum] is their
+   running sum in recording order. *)
 type histogram = {
-  mutable samples : float list;  (* newest first *)
-  mutable h_count : int;
+  mutable buf : float array;
+  mutable len : int;
   mutable sum : float;
 }
 
@@ -54,12 +52,17 @@ let observe t name value =
   | Reg r -> (
       match Hashtbl.find_opt r.histograms name with
       | Some h ->
-          h.samples <- value :: h.samples;
-          h.h_count <- h.h_count + 1;
+          if h.len = Array.length h.buf then begin
+            let buf = Array.make (2 * h.len) 0.0 in
+            Array.blit h.buf 0 buf 0 h.len;
+            h.buf <- buf
+          end;
+          h.buf.(h.len) <- value;
+          h.len <- h.len + 1;
           h.sum <- h.sum +. value
       | None ->
           Hashtbl.replace r.histograms name
-            { samples = [ value ]; h_count = 1; sum = value })
+            { buf = Array.make 16 value; len = 1; sum = value })
 
 (* -- read-back (tests and reports) --------------------------------------- *)
 
@@ -79,54 +82,9 @@ let gauge_peak t name =
   | Null -> None
   | Reg r -> Option.map (fun g -> g.peak) (Hashtbl.find_opt r.gauges name)
 
-type summary = {
-  count : int;
-  mean : float;
-  min : float;
-  max : float;
-  p50 : float;
-  p95 : float;
-}
-
-let quantile sorted count q =
-  (* Nearest-rank on the ascending sample array: deterministic and exact for
-     the small sample counts a simulation run produces. *)
-  let rank = int_of_float (Float.ceil (q *. float_of_int count)) in
-  let rank = Stdlib.min count (Stdlib.max 1 rank) in
-  sorted.(rank - 1)
-
-(* [sorted] is ascending and non-empty; [sum] is the sum of its samples. *)
-let of_sorted sorted ~sum =
-  let count = Array.length sorted in
-  {
-    count;
-    mean = sum /. float_of_int count;
-    min = sorted.(0);
-    max = sorted.(count - 1);
-    p50 = quantile sorted count 0.50;
-    p95 = quantile sorted count 0.95;
-  }
-
-(* The running sum, not a re-summation of the sorted samples: histogram
-   means are a function of the recording order. *)
-let summarize h =
-  let sorted = Array.of_list h.samples in
-  Array.sort Float.compare sorted;
-  of_sorted sorted ~sum:h.sum
-
-let summary_of_ints = function
-  | [] -> { count = 0; mean = 0.0; min = 0.0; max = 0.0; p50 = 0.0; p95 = 0.0 }
-  | samples ->
-      (* Sorted as ints, then copied into an unboxed float array: no float
-         is boxed per comparison.  An int sum is exact in any order. *)
-      let ints = Array.of_list samples in
-      Array.sort Int.compare ints;
-      let count = Array.length ints in
-      let sorted = Array.make count 0.0 in
-      for i = 0 to count - 1 do
-        sorted.(i) <- float_of_int ints.(i)
-      done;
-      of_sorted sorted ~sum:(float_of_int (Array.fold_left ( + ) 0 ints))
+(* Nearest-rank quantiles and the running sum's mean.  Sorting the buffer
+   in place is invisible: a summary reads only the samples and the sum. *)
+let summarize h = Stats.Summary.nearest_rank h.buf h.len ~sum:h.sum
 
 let histogram t name =
   match t with
@@ -165,8 +123,8 @@ let buf_json t buf =
           let s = summarize (Hashtbl.find r.histograms name) in
           Printf.bprintf buf
             "\"%s\":{\"count\":%d,\"mean\":%s,\"min\":%s,\"max\":%s,\"p50\":%s,\"p95\":%s}"
-            name s.count (float_str s.mean) (float_str s.min) (float_str s.max)
-            (float_str s.p50) (float_str s.p95))
+            name s.count (Json.float_str s.mean) (Json.float_str s.min)
+            (Json.float_str s.max) (Json.float_str s.p50) (Json.float_str s.p95))
         (sorted_names r.histograms);
       Buffer.add_string buf "}}"
 

@@ -37,30 +37,13 @@ val counter : t -> string -> int
 val gauge_last : t -> string -> int option
 val gauge_peak : t -> string -> int option
 
-type summary = {
-  count : int;
-  mean : float;
-  min : float;
-  max : float;
-  p50 : float;
-  p95 : float;
-}
-
-val histogram : t -> string -> summary option
-(** Nearest-rank quantiles over the recorded samples. *)
-
-val summary_of_ints : int list -> summary
-(** The same nearest-rank summary over integer samples (the trace
-    analyzer's tick distributions); every field is zero when the list is
-    empty. *)
+val histogram : t -> string -> Stats.Summary.t option
+(** Nearest-rank quantiles ({!Stats.Summary.nearest_rank}) over the
+    recorded samples, with the mean of their running sum. *)
 
 val to_json : t -> string
 (** One JSON object: [{"counters":{...},"gauges":{...},"histograms":{...}}],
     names in sorted order.  [{}] for {!null}. *)
-
-val buf_json : t -> Buffer.t -> unit
-(** Append {!to_json} output to a buffer (used by the campaign report
-    writer). *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable table (used by the bench and replay output). *)

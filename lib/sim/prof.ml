@@ -21,10 +21,6 @@ let samples_push s x =
   s.buf.(s.len) <- x;
   s.len <- s.len + 1
 
-let samples_list s =
-  let rec go i acc = if i < 0 then acc else go (i - 1) (s.buf.(i) :: acc) in
-  go (s.len - 1) []
-
 type node = {
   name : string;
   mutable count : int;
@@ -186,7 +182,7 @@ let rec stat_of_node (n : node) : stat =
     self_minor_words = n.minor_words -. child_mw;
     minor_collections = n.minor_collections;
     major_collections = n.major_collections;
-    latency = Stats.Summary.of_list (samples_list n.lat);
+    latency = Stats.Summary.interpolated n.lat.buf n.lat.len;
     counters;
     children;
   }
@@ -225,31 +221,14 @@ let coverage r =
 
 (* ------------------------------------------------------------------ *)
 (* JSON.  Hand-rolled like Metrics/Campaign: single line, fields in a
-   fixed order, floats via %.12g, names escaped minimally. *)
-
-let buf_escaped b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
-let buf_float b f = Buffer.add_string b (Printf.sprintf "%.12g" f)
+   fixed order, names and floats written by [Json]. *)
 
 let buf_counters b counters =
   Buffer.add_char b '{';
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      buf_escaped b k;
+      Json.buf_string b k;
       Buffer.add_char b ':';
       Buffer.add_string b (string_of_int v))
     counters;
@@ -257,21 +236,21 @@ let buf_counters b counters =
 
 let rec buf_timed_node b (s : stat) =
   Buffer.add_string b "{\"name\":";
-  buf_escaped b s.name;
+  Json.buf_string b s.name;
   Buffer.add_string b ",\"count\":";
   Buffer.add_string b (string_of_int s.count);
   Buffer.add_string b ",\"total_ns\":";
-  buf_float b s.total_ns;
+  Json.buf_float b s.total_ns;
   Buffer.add_string b ",\"self_ns\":";
-  buf_float b s.self_ns;
+  Json.buf_float b s.self_ns;
   Buffer.add_string b ",\"minor_words\":";
-  buf_float b s.minor_words;
+  Json.buf_float b s.minor_words;
   Buffer.add_string b ",\"major_words\":";
-  buf_float b s.major_words;
+  Json.buf_float b s.major_words;
   Buffer.add_string b ",\"promoted_words\":";
-  buf_float b s.promoted_words;
+  Json.buf_float b s.promoted_words;
   Buffer.add_string b ",\"self_minor_words\":";
-  buf_float b s.self_minor_words;
+  Json.buf_float b s.self_minor_words;
   Buffer.add_string b ",\"minor_collections\":";
   Buffer.add_string b (string_of_int s.minor_collections);
   Buffer.add_string b ",\"major_collections\":";
@@ -279,13 +258,13 @@ let rec buf_timed_node b (s : stat) =
   Buffer.add_string b ",\"latency_ns\":{\"count\":";
   Buffer.add_string b (string_of_int s.latency.Stats.Summary.count);
   Buffer.add_string b ",\"mean\":";
-  buf_float b s.latency.Stats.Summary.mean;
+  Json.buf_float b s.latency.Stats.Summary.mean;
   Buffer.add_string b ",\"p50\":";
-  buf_float b s.latency.Stats.Summary.p50;
+  Json.buf_float b s.latency.Stats.Summary.p50;
   Buffer.add_string b ",\"p95\":";
-  buf_float b s.latency.Stats.Summary.p95;
+  Json.buf_float b s.latency.Stats.Summary.p95;
   Buffer.add_string b ",\"max\":";
-  buf_float b s.latency.Stats.Summary.max;
+  Json.buf_float b s.latency.Stats.Summary.max;
   Buffer.add_string b "},\"counters\":";
   buf_counters b s.counters;
   Buffer.add_string b ",\"children\":[";
@@ -299,9 +278,9 @@ let rec buf_timed_node b (s : stat) =
 let report_json r =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"schema\":\"urcgc.prof/1\",\"wall_ns\":";
-  buf_float b (wall_ns r);
+  Json.buf_float b (wall_ns r);
   Buffer.add_string b ",\"coverage\":";
-  buf_float b (coverage r);
+  Json.buf_float b (coverage r);
   Buffer.add_string b ",\"root\":";
   buf_timed_node b r.root_stat;
   Buffer.add_string b "}\n";
@@ -309,7 +288,7 @@ let report_json r =
 
 let rec buf_structural_node b (s : stat) =
   Buffer.add_string b "{\"name\":";
-  buf_escaped b s.name;
+  Json.buf_string b s.name;
   Buffer.add_string b ",\"count\":";
   Buffer.add_string b (string_of_int s.count);
   Buffer.add_string b ",\"counters\":";

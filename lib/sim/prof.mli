@@ -102,9 +102,6 @@ type stat = {
 
 val root : report -> stat
 
-val wall_ns : report -> float
-(** Total wall-clock of the root span. *)
-
 val coverage : report -> float
 (** Fraction of the root's wall-clock attributed to instrumented child
     spans: [1 - root self / root total].  1.0 when the root has no

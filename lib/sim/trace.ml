@@ -168,21 +168,6 @@ let dump ppf t = iter t ~f:(fun r -> Format.fprintf ppf "%a@." pp_record r)
    double-quoted strings only: the export is a pure function of the record
    sequence, which the determinism guarantee relies on. *)
 
-let buf_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let buf_pdu buf = function
   | Data { origin; seq; deps; bytes } ->
       Printf.bprintf buf
@@ -240,18 +225,18 @@ let buf_record buf { time; event } =
         coordinator
   | Left { node; reason } ->
       Printf.bprintf buf "\"left\",\"node\":%d,\"reason\":" node;
-      buf_json_string buf reason
+      Json.buf_string buf reason
   | Crash { node } -> Printf.bprintf buf "\"crash\",\"node\":%d" node
   | Drop { src; dst; kind; stage } ->
       Printf.bprintf buf "\"drop\",\"src\":%d,\"dst\":%d,\"kind\":" src dst;
-      buf_json_string buf (Traffic_class.to_string kind);
+      Json.buf_string buf (Traffic_class.to_string kind);
       Buffer.add_string buf ",\"stage\":";
-      buf_json_string buf (stage_to_string stage)
+      Json.buf_string buf (stage_to_string stage)
   | Note { source; message } ->
       Buffer.add_string buf "\"note\",\"source\":";
-      buf_json_string buf source;
+      Json.buf_string buf source;
       Buffer.add_string buf ",\"message\":";
-      buf_json_string buf message);
+      Json.buf_string buf message);
   Buffer.add_char buf '}'
 
 let json_of_record record =

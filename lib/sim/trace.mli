@@ -123,12 +123,8 @@ val event_source : event -> string
 val event_message : event -> string
 (** One-line human rendering. *)
 
-val pp_pdu : Format.formatter -> pdu -> unit
-val pp_record : Format.formatter -> record -> unit
-(** [\[time\] source message]. *)
-
 val dump : Format.formatter -> t -> unit
-(** Every retained record, one {!pp_record} line each. *)
+(** Every retained record, one [\[time\] source message] line each. *)
 
 val json_of_record : record -> string
 (** One JSON object, no trailing newline.  Field order is fixed; see

@@ -1,4 +1,7 @@
-(** Descriptive statistics over a sample of floats. *)
+(** Descriptive statistics over a sample of floats: the one summary every
+    report uses.  Two quantile rules share one core: {!interpolated} (the
+    runs' delays, profiler latencies, {!percentile}) and {!nearest_rank}
+    (metrics histograms and the trace analyzer's distributions). *)
 
 type t = {
   count : int;
@@ -14,7 +17,20 @@ type t = {
 val empty : t
 (** All-zero summary of an empty sample. *)
 
+val interpolated : float array -> int -> t
+(** [interpolated a count] sorts [a.(0) .. a.(count - 1)] ascending in
+    place and summarizes them: quantiles interpolate linearly between the
+    two closest ranks, and the mean sums the samples in ascending order.
+    The sort compares the flat floats directly, where [Array.sort] boxes
+    both operands of every comparison.  {!empty} when [count = 0]. *)
+
+val nearest_rank : float array -> int -> sum:float -> t
+(** The same in-place sort, with nearest-rank quantiles
+    ([rank(q) = ceil (q * count)]) and mean [sum / count] for a [sum] the
+    caller keeps (a histogram's running sum in recording order). *)
+
 val of_list : float list -> t
+(** {!interpolated} over the samples. *)
 
 val of_ints : int list -> t
 

@@ -11,22 +11,20 @@ type spec = {
   max_rtd : float;
 }
 
-let float_str = Printf.sprintf "%.12g"
-
 let pp_spec ppf spec =
   Format.fprintf ppf
     "@[<h>n=%d k=%d rate=%s messages=%d send=%s recv=%s link=%s silenced=%d \
      crashes=[%a] max_rtd=%s@]"
-    spec.n spec.k (float_str spec.rate) spec.messages
-    (float_str spec.send_omission)
-    (float_str spec.recv_omission)
-    (float_str spec.link_loss)
+    spec.n spec.k (Sim.Json.float_str spec.rate) spec.messages
+    (Sim.Json.float_str spec.send_omission)
+    (Sim.Json.float_str spec.recv_omission)
+    (Sim.Json.float_str spec.link_loss)
     spec.silenced_per_subrun
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.fprintf ppf ";")
        (fun ppf (node, subrun) -> Format.fprintf ppf "%d@@%d" node subrun))
     spec.crashes
-    (float_str spec.max_rtd)
+    (Sim.Json.float_str spec.max_rtd)
 
 let resilience spec = (spec.n - 1) / 2
 
@@ -37,7 +35,7 @@ let validate_spec spec =
   let fail fmt = Printf.ksprintf invalid_arg fmt in
   let prob name p =
     if not (p >= 0.0 && p <= 1.0) then
-      fail "campaign spec: %s %s is outside [0,1]" name (float_str p)
+      fail "campaign spec: %s %s is outside [0,1]" name (Sim.Json.float_str p)
   in
   if spec.n < 2 then fail "campaign spec: n %d is too small (need >= 2)" spec.n;
   if spec.k < 1 then fail "campaign spec: K %d must be >= 1" spec.k;
@@ -57,7 +55,8 @@ let validate_spec spec =
       if subrun < 0 then fail "campaign spec: negative crash subrun %d" subrun)
     spec.crashes;
   if not (spec.max_rtd > 0.0) then
-    fail "campaign spec: max-rtd %s must be positive" (float_str spec.max_rtd)
+    fail "campaign spec: max-rtd %s must be positive"
+      (Sim.Json.float_str spec.max_rtd)
 
 let within_budget spec =
   spec.silenced_per_subrun + List.length spec.crashes <= resilience spec
@@ -368,14 +367,18 @@ let repro_command ~seed spec =
   Printf.bprintf buf
     "urcgc_sim replay -n %d -K %d --rate %s --messages %d --silenced %d \
      --max-rtd %s --seed %d"
-    spec.n spec.k (float_str spec.rate) spec.messages spec.silenced_per_subrun
-    (float_str spec.max_rtd) seed;
+    spec.n spec.k (Sim.Json.float_str spec.rate) spec.messages
+    spec.silenced_per_subrun
+    (Sim.Json.float_str spec.max_rtd)
+    seed;
   if spec.send_omission > 0.0 then
-    Printf.bprintf buf " --send-omission %s" (float_str spec.send_omission);
+    Printf.bprintf buf " --send-omission %s"
+      (Sim.Json.float_str spec.send_omission);
   if spec.recv_omission > 0.0 then
-    Printf.bprintf buf " --recv-omission %s" (float_str spec.recv_omission);
+    Printf.bprintf buf " --recv-omission %s"
+      (Sim.Json.float_str spec.recv_omission);
   if spec.link_loss > 0.0 then
-    Printf.bprintf buf " --link-loss %s" (float_str spec.link_loss);
+    Printf.bprintf buf " --link-loss %s" (Sim.Json.float_str spec.link_loss);
   List.iter
     (fun (node, subrun) -> Printf.bprintf buf " --crash %d@%d" node subrun)
     spec.crashes;
@@ -472,17 +475,17 @@ let run ?(over_budget = false) ?(shrink_failures = true) ?(with_metrics = false)
 let buf_spec buf spec =
   Printf.bprintf buf
     "{\"n\":%d,\"k\":%d,\"rate\":%s,\"messages\":%d,\"send_omission\":%s,\"recv_omission\":%s,\"link_loss\":%s,\"silenced_per_subrun\":%d,\"crashes\":["
-    spec.n spec.k (float_str spec.rate) spec.messages
-    (float_str spec.send_omission)
-    (float_str spec.recv_omission)
-    (float_str spec.link_loss)
+    spec.n spec.k (Sim.Json.float_str spec.rate) spec.messages
+    (Sim.Json.float_str spec.send_omission)
+    (Sim.Json.float_str spec.recv_omission)
+    (Sim.Json.float_str spec.link_loss)
     spec.silenced_per_subrun;
   List.iteri
     (fun i (node, subrun) ->
       if i > 0 then Buffer.add_char buf ',';
       Printf.bprintf buf "[%d,%d]" node subrun)
     spec.crashes;
-  Printf.bprintf buf "],\"max_rtd\":%s}" (float_str spec.max_rtd)
+  Printf.bprintf buf "],\"max_rtd\":%s}" (Sim.Json.float_str spec.max_rtd)
 
 let buf_run buf r =
   Printf.bprintf buf "{\"index\":%d,\"seed\":%d,\"spec\":" r.index r.seed;
@@ -492,7 +495,7 @@ let buf_run buf r =
   Printf.bprintf buf
     ",\"generated\":%d,\"delivered_remote\":%d,\"subruns\":%d,\"mean_delay_rtd\":%s,\"verdict\":\"%s\""
     r.generated r.delivered_remote r.subruns
-    (float_str r.mean_delay_rtd)
+    (Sim.Json.float_str r.mean_delay_rtd)
     (if r.outcome.ok then "ok" else "fail");
   if not r.outcome.ok then begin
     Buffer.add_string buf ",\"violations\":";

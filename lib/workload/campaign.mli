@@ -149,6 +149,4 @@ val to_json : t -> string
 (** The full campaign as one deterministic JSON document (schema in
     [docs/CAMPAIGN.md]). *)
 
-val summary_table : t -> Stats.Table.t
-
 val pp_summary : Format.formatter -> t -> unit

@@ -646,11 +646,13 @@ let pp_report ppf r =
     s.Sim.Explore.total
     (if s.Sim.Explore.truncated then " [truncated]" else "")
     s.Sim.Explore.max_depth
-    (if ok r then "every explored schedule satisfies all clauses"
-     else
+    (if r.schedules_with_violations > 0 then
        Printf.sprintf "%d schedules with violations: %s"
          r.schedules_with_violations
-         (String.concat "; " r.distinct_violations));
+         (String.concat "; " r.distinct_violations)
+     else if s.Sim.Explore.truncated then
+       "every explored schedule satisfies all clauses (search truncated)"
+     else "every explored schedule satisfies all clauses");
   match r.counterexample with
   | None -> ()
   | Some cx ->

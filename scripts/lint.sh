@@ -21,6 +21,11 @@
 #     bin/ or examples/ calls Waiting_list.add, take_processable,
 #     discard_from or Delivery.mark, so no second processing loop grows
 #     back; bench/ and test/ exercise the structures directly
+#   - one report core: no `sort Float.compare` in lib/, bin/, bench/ or
+#     examples/ (it boxes both operands of every comparison; summarize
+#     through Stats.Summary), and no `sprintf "%.12g"` float format or
+#     `\u%04x` string escape in lib/ outside lib/sim/json.ml, the one
+#     writer of JSON floats and strings
 #
 # Exits non-zero listing each offending file.
 
@@ -81,6 +86,19 @@ if hits=$(git grep -n -E \
   ':!lib/workload/checker.ml'); then
   echo "lint: GMT structure changed outside Urcgc.Gmt (process, purge and" \
     "recover through lib/core/gmt.ml):" >&2
+  echo "$hits" | head -5 >&2
+  status=1
+fi
+
+if hits=$(git grep -n -F 'sort Float.compare' -- lib bin bench examples); then
+  echo "lint: boxed float sort (summarize through Stats.Summary):" >&2
+  echo "$hits" | head -5 >&2
+  status=1
+fi
+
+if hits=$(git grep -n -F -e 'sprintf "%.12g"' -e '\u%04x' -- lib \
+  ':!lib/sim/json.ml'); then
+  echo "lint: JSON float format or string escape outside Sim.Json:" >&2
   echo "$hits" | head -5 >&2
   status=1
 fi

@@ -22,7 +22,7 @@ let seeds = 40
 let operations = 90
 let node = Net.Node_id.of_int
 
-(* Int payloads, zero-padded to the configured payload size: the codec
+(* Int payloads, zero-padded to the default payload size: the codec
    refuses a payload whose encoding differs from its declared size. *)
 let int_payload size =
   {
@@ -110,7 +110,7 @@ let add_state buf i m =
 
 let run seed =
   let config = Urcgc.Config.make ~n () in
-  let codec = int_payload config.Urcgc.Config.payload_size in
+  let codec = int_payload Urcgc.Config.default_payload_size in
   let rng = Sim.Rng.create ~seed:(Sim.Rng.derive ~seed:0xd0c5 seed) in
   let members = Array.init n (fun i -> Urcgc.Member.create config (node i)) in
   let stream = Buffer.create 65536 in

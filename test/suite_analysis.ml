@@ -281,27 +281,34 @@ let parser_tests =
               (contains msg "after the metrics line"));
   ]
 
+(* A tick distribution as the analyzer builds one: nearest rank over the
+   ticks, mean from their int sum. *)
+let dist ticks =
+  let samples = Array.of_list (List.map float_of_int ticks) in
+  Stats.Summary.nearest_rank samples (Array.length samples)
+    ~sum:(float_of_int (List.fold_left ( + ) 0 ticks))
+
 let dist_tests =
   [
     Alcotest.test_case "empty distribution is all zeros" `Quick (fun () ->
-        let d = Sim.Metrics.summary_of_ints [] in
-        Alcotest.(check int) "count" 0 d.Sim.Metrics.count;
-        Alcotest.(check (float 0.0)) "mean" 0.0 d.Sim.Metrics.mean;
-        Alcotest.(check (float 0.0)) "p95" 0.0 d.Sim.Metrics.p95);
+        let d = dist [] in
+        Alcotest.(check int) "count" 0 d.Stats.Summary.count;
+        Alcotest.(check (float 0.0)) "mean" 0.0 d.Stats.Summary.mean;
+        Alcotest.(check (float 0.0)) "p95" 0.0 d.Stats.Summary.p95);
     Alcotest.test_case "single sample is every quantile" `Quick (fun () ->
-        let d = Sim.Metrics.summary_of_ints [ 7 ] in
-        Alcotest.(check int) "count" 1 d.Sim.Metrics.count;
-        Alcotest.(check (float 1e-9)) "min" 7.0 d.Sim.Metrics.min;
-        Alcotest.(check (float 1e-9)) "max" 7.0 d.Sim.Metrics.max;
-        Alcotest.(check (float 1e-9)) "p50" 7.0 d.Sim.Metrics.p50;
-        Alcotest.(check (float 1e-9)) "p95" 7.0 d.Sim.Metrics.p95);
+        let d = dist [ 7 ] in
+        Alcotest.(check int) "count" 1 d.Stats.Summary.count;
+        Alcotest.(check (float 1e-9)) "min" 7.0 d.Stats.Summary.min;
+        Alcotest.(check (float 1e-9)) "max" 7.0 d.Stats.Summary.max;
+        Alcotest.(check (float 1e-9)) "p50" 7.0 d.Stats.Summary.p50;
+        Alcotest.(check (float 1e-9)) "p95" 7.0 d.Stats.Summary.p95);
     Alcotest.test_case "nearest-rank boundaries on 20 samples" `Quick (fun () ->
-        let d = Sim.Metrics.summary_of_ints (List.init 20 (fun i -> 20 - i)) in
+        let d = dist (List.init 20 (fun i -> 20 - i)) in
         (* rank(0.50 * 20) = 10th, rank(0.95 * 20) = 19th, of the sorted
            samples *)
-        Alcotest.(check (float 1e-9)) "mean" 10.5 d.Sim.Metrics.mean;
-        Alcotest.(check (float 1e-9)) "p50" 10.0 d.Sim.Metrics.p50;
-        Alcotest.(check (float 1e-9)) "p95" 19.0 d.Sim.Metrics.p95);
+        Alcotest.(check (float 1e-9)) "mean" 10.5 d.Stats.Summary.mean;
+        Alcotest.(check (float 1e-9)) "p50" 10.0 d.Stats.Summary.p50;
+        Alcotest.(check (float 1e-9)) "p95" 19.0 d.Stats.Summary.p95);
   ]
 
 let export_tests =

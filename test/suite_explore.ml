@@ -171,6 +171,16 @@ let config_tests =
           "oracle saw every schedule" report.WE.stats.E.explored
           report.WE.oracle_checked;
         Alcotest.(check int) "oracle agrees" 0 report.WE.oracle_disagreements);
+    Alcotest.test_case "a clean truncated search says so" `Quick (fun () ->
+        let report = WE.explore ~max_schedules:5 (WE.config ~n:3 ()) in
+        Alcotest.(check bool) "truncated" true report.WE.stats.E.truncated;
+        Alcotest.(check int) "no violating schedule" 0
+          report.WE.schedules_with_violations;
+        let text = Format.asprintf "%a" WE.pp_report report in
+        Alcotest.(check bool) "clean and truncated" true
+          (Astring_contains.contains text
+             "verdict: every explored schedule satisfies all clauses \
+              (search truncated)"));
     Alcotest.test_case "exploration is deterministic" `Quick (fun () ->
         let c = WE.config ~n:3 ~crash_choices:true ~with_oracle:false () in
         let a = WE.to_json (WE.explore c) in

@@ -75,6 +75,122 @@ let percentile_properties =
         Float.abs (Stats.Summary.percentile sorted q -. v) <= 1e-9);
   ]
 
+(* The one summary core against the two rules it replaced, rebuilt here
+   over a [List.sort Float.compare] copy: linear interpolation with the mean
+   of the sorted-order sum ([Stats.Summary.of_list]) and nearest rank with
+   the mean of the running sum in recording order ([Sim.Metrics]). *)
+let interpolation sorted q =
+  let n = Array.length sorted in
+  if n = 1 then sorted.(0)
+  else begin
+    let rank = q *. float_of_int (n - 1) in
+    let lo = int_of_float (Float.floor rank) in
+    let hi = min (lo + 1) (n - 1) in
+    let frac = rank -. float_of_int lo in
+    (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
+  end
+
+let nearest_rank sorted q =
+  let count = Array.length sorted in
+  let rank = int_of_float (Float.ceil (q *. float_of_int count)) in
+  let rank = min count (max 1 rank) in
+  sorted.(rank - 1)
+
+let reference rule ~sum samples =
+  let sorted = Array.of_list (List.sort Float.compare samples) in
+  let count = Array.length sorted in
+  let mean = sum /. float_of_int count in
+  let var =
+    Array.fold_left
+      (fun acc x ->
+        let d = x -. mean in
+        acc +. (d *. d))
+      0.0 sorted
+    /. float_of_int count
+  in
+  {
+    Stats.Summary.count;
+    mean;
+    stddev = sqrt var;
+    min = sorted.(0);
+    max = sorted.(count - 1);
+    p50 = rule sorted 0.5;
+    p95 = rule sorted 0.95;
+    p99 = rule sorted 0.99;
+  }
+
+let same (a : Stats.Summary.t) (b : Stats.Summary.t) =
+  a.count = b.count && Float.equal a.mean b.mean
+  && Float.equal a.stddev b.stddev && Float.equal a.min b.min
+  && Float.equal a.max b.max && Float.equal a.p50 b.p50
+  && Float.equal a.p95 b.p95 && Float.equal a.p99 b.p99
+
+(* Duplicates from a small pool, negatives, and both infinities. *)
+let samples =
+  QCheck.make
+    ~print:QCheck.Print.(list float)
+    QCheck.Gen.(
+      list_size (int_range 0 300)
+        (frequency
+           [
+             (6, float_range (-1e6) 1e6);
+             (3, oneofl [ 0.0; 1.0; -1.0; 2.5; 1e6 ]);
+             (1, oneofl [ infinity; neg_infinity ]);
+           ]))
+
+let core_properties =
+  [
+    QCheck.Test.make ~name:"interpolated rule matches the reference" ~count:300
+      samples (fun xs ->
+        let s = Stats.Summary.of_list xs in
+        match xs with
+        | [] -> s = Stats.Summary.empty
+        | _ ->
+            let sorted = List.sort Float.compare xs in
+            same s
+              (reference interpolation
+                 ~sum:(List.fold_left ( +. ) 0.0 sorted)
+                 xs));
+    QCheck.Test.make ~name:"nearest-rank rule matches the reference" ~count:300
+      samples (fun xs ->
+        let m = Sim.Metrics.create () in
+        List.iter (Sim.Metrics.observe m "h") xs;
+        match (xs, Sim.Metrics.histogram m "h") with
+        | [], None -> true
+        | _ :: _, Some s ->
+            same s
+              (reference nearest_rank ~sum:(List.fold_left ( +. ) 0.0 xs) xs)
+        | _ -> false);
+  ]
+
+(* Words allocated by [f ()] per sample of [n]. *)
+let words_per_sample n f =
+  let before = Alloc_words.count () in
+  ignore (Sys.opaque_identity (f ()));
+  (Alloc_words.count () -. before) /. float_of_int n
+
+let samples_10k = List.init 10_000 (fun i -> float_of_int (i * 7919 mod 10_007))
+
+let alloc_tests =
+  [
+    Alcotest.test_case "of_list on 10 000 samples: <= 2 words per sample"
+      `Quick (fun () ->
+        let w =
+          words_per_sample 10_000 (fun () -> Stats.Summary.of_list samples_10k)
+        in
+        Alcotest.(check bool) (Printf.sprintf "%.1f words per sample" w) true
+          (w <= 2.0));
+    Alcotest.test_case "a 10 000-sample histogram: <= 2 words per sample"
+      `Quick (fun () ->
+        let m = Sim.Metrics.create () in
+        List.iter (Sim.Metrics.observe m "h") samples_10k;
+        let w =
+          words_per_sample 10_000 (fun () -> Sim.Metrics.histogram m "h")
+        in
+        Alcotest.(check bool) (Printf.sprintf "%.1f words per sample" w) true
+          (w <= 2.0));
+  ]
+
 let series_tests =
   [
     Alcotest.test_case "y_at exact lookup" `Quick (fun () ->
@@ -196,6 +312,8 @@ let suite =
     ( "stats.summary",
       summary_tests
       @ List.map QCheck_alcotest.to_alcotest percentile_properties );
+    ( "stats.summary_core",
+      alloc_tests @ List.map QCheck_alcotest.to_alcotest core_properties );
     ("stats.series", series_tests);
     ("stats.table", table_tests);
     ("stats.analytic", analytic_tests);

@@ -290,10 +290,10 @@ let metrics_tests =
         (match Sim.Metrics.histogram m "h" with
         | None -> Alcotest.fail "histogram missing"
         | Some s ->
-            Alcotest.(check int) "count" 2 s.Sim.Metrics.count;
-            Alcotest.(check (float 1e-9)) "mean" 2.0 s.Sim.Metrics.mean;
-            Alcotest.(check (float 1e-9)) "p50" 1.5 s.Sim.Metrics.p50;
-            Alcotest.(check (float 1e-9)) "p95" 2.5 s.Sim.Metrics.p95);
+            Alcotest.(check int) "count" 2 s.Stats.Summary.count;
+            Alcotest.(check (float 1e-9)) "mean" 2.0 s.Stats.Summary.mean;
+            Alcotest.(check (float 1e-9)) "p50" 1.5 s.Stats.Summary.p50;
+            Alcotest.(check (float 1e-9)) "p95" 2.5 s.Stats.Summary.p95);
         Alcotest.(check string)
           "deterministic JSON, names sorted"
           ({|{"counters":{"a":2,"b":3},"gauges":{"g":{"last":2,"peak":5}},|}
@@ -308,11 +308,11 @@ let metrics_tests =
         match Sim.Metrics.histogram m "h" with
         | None -> Alcotest.fail "histogram missing"
         | Some s ->
-            Alcotest.(check (float 1e-9)) "min" 1.0 s.Sim.Metrics.min;
-            Alcotest.(check (float 1e-9)) "max" 10.0 s.Sim.Metrics.max;
-            Alcotest.(check (float 1e-9)) "mean" 5.5 s.Sim.Metrics.mean;
-            Alcotest.(check (float 1e-9)) "p50" 5.0 s.Sim.Metrics.p50;
-            Alcotest.(check (float 1e-9)) "p95" 10.0 s.Sim.Metrics.p95);
+            Alcotest.(check (float 1e-9)) "min" 1.0 s.Stats.Summary.min;
+            Alcotest.(check (float 1e-9)) "max" 10.0 s.Stats.Summary.max;
+            Alcotest.(check (float 1e-9)) "mean" 5.5 s.Stats.Summary.mean;
+            Alcotest.(check (float 1e-9)) "p50" 5.0 s.Stats.Summary.p50;
+            Alcotest.(check (float 1e-9)) "p95" 10.0 s.Stats.Summary.p95);
     Alcotest.test_case "empty registry renders empty sections" `Quick
       (fun () ->
         let m = Sim.Metrics.create () in
@@ -330,12 +330,12 @@ let metrics_tests =
         match Sim.Metrics.histogram m "h" with
         | None -> Alcotest.fail "histogram missing"
         | Some s ->
-            Alcotest.(check int) "count" 1 s.Sim.Metrics.count;
-            Alcotest.(check (float 1e-9)) "mean" 4.25 s.Sim.Metrics.mean;
-            Alcotest.(check (float 1e-9)) "min" 4.25 s.Sim.Metrics.min;
-            Alcotest.(check (float 1e-9)) "max" 4.25 s.Sim.Metrics.max;
-            Alcotest.(check (float 1e-9)) "p50" 4.25 s.Sim.Metrics.p50;
-            Alcotest.(check (float 1e-9)) "p95" 4.25 s.Sim.Metrics.p95);
+            Alcotest.(check int) "count" 1 s.Stats.Summary.count;
+            Alcotest.(check (float 1e-9)) "mean" 4.25 s.Stats.Summary.mean;
+            Alcotest.(check (float 1e-9)) "min" 4.25 s.Stats.Summary.min;
+            Alcotest.(check (float 1e-9)) "max" 4.25 s.Stats.Summary.max;
+            Alcotest.(check (float 1e-9)) "p50" 4.25 s.Stats.Summary.p50;
+            Alcotest.(check (float 1e-9)) "p95" 4.25 s.Stats.Summary.p95);
     Alcotest.test_case "nearest-rank boundaries on 20 samples" `Quick
       (fun () ->
         (* rank(q) = ceil(q * count): p50 is the 10th of 20 ordered samples
@@ -348,8 +348,8 @@ let metrics_tests =
         match Sim.Metrics.histogram m "h" with
         | None -> Alcotest.fail "histogram missing"
         | Some s ->
-            Alcotest.(check (float 1e-9)) "p50" 10.0 s.Sim.Metrics.p50;
-            Alcotest.(check (float 1e-9)) "p95" 19.0 s.Sim.Metrics.p95);
+            Alcotest.(check (float 1e-9)) "p50" 10.0 s.Stats.Summary.p50;
+            Alcotest.(check (float 1e-9)) "p95" 19.0 s.Stats.Summary.p95);
     Alcotest.test_case "null registry records nothing" `Quick (fun () ->
         let m = Sim.Metrics.null in
         Sim.Metrics.incr m "a";
@@ -381,7 +381,7 @@ let metrics_tests =
         | Some s ->
             Alcotest.(check int)
               "one latency sample per remote delivery"
-              report.Workload.Runner.delivered_remote s.Sim.Metrics.count);
+              report.Workload.Runner.delivered_remote s.Stats.Summary.count);
   ]
 
 let suite =
